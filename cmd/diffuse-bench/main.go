@@ -20,8 +20,8 @@
 //
 // And the CI perf-regression gate: compare a freshly measured suite
 // against the committed trajectory and exit nonzero if any matching row's
-// ratio metrics (executor / sharding / wavefront speedups) regressed more
-// than -comparetol (default 25%):
+// ratio metrics (fused vs unfused, and the row vs its baseline) regressed
+// beyond a floor derived from -comparetol (default 25%):
 //
 //	diffuse-bench -compare /tmp/fresh.json BENCH_real.json
 //
@@ -67,8 +67,6 @@ func main() {
 		checkReal  = flag.String("checkreal", "", "validate a BENCH_real.json against the schema and exit")
 		compare    = flag.String("compare", "", "fresh suite JSON to compare against the committed trajectory (positional arg, default BENCH_real.json); exit nonzero on regression")
 		compareTol = flag.Float64("comparetol", bench.DefaultCompareTolerance, "allowed fractional regression of ratio metrics before -compare fails")
-		ranksFlag  = flag.Int("ranks", 0, "run the multi-process distributed quick bench at this rank count (times ranks=N vs in-process shards=N and verifies bit-identity)")
-		transport  = flag.String("transport", "", "peer transport for -ranks: unix (default) or tcp")
 		serveFlag  = flag.Bool("serve", false, "run the multi-tenant service-mode bench: streams/sec at each -tenants count against one in-process diffuse-serve")
 		tenants    = flag.String("tenants", "1,4,16", "comma-separated tenant counts for -serve")
 		streams    = flag.Int("streams", 8, "submissions per tenant for -serve")
@@ -79,14 +77,6 @@ func main() {
 		counts := parseCounts(*tenants, "tenant")
 		req := serve.SubmitRequest{Workload: "chain", N: 4096, Iters: 6}
 		if _, err := bench.RunServeBench(counts, *streams, req, *realProcs, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *ranksFlag > 0 {
-		if err := bench.RunDistBench(*ranksFlag, *transport, os.Stdout); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}

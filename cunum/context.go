@@ -42,20 +42,12 @@ func NewContext(rt *core.Runtime) *Context {
 // its default session. Arrays live replicated on the ranks; reads (ToHost,
 // Get, Scalar, futures) gather from rank 0 after a collective drain, and
 // results are bit-identical to an in-process context with Shards equal to
-// the rank count. Call Close when done to shut the ranks down.
+// the rank count. The peer transport comes from DIFFUSE_DIST_TRANSPORT
+// (core.Config.Transport for an explicit choice). Call Close when done to
+// shut the ranks down.
 func NewDistributedContext(ranks int) *Context {
-	return NewDistributedTransportContext(ranks, "")
-}
-
-// NewDistributedTransportContext is NewDistributedContext with an explicit
-// peer transport: "unix" (single-host socket files, the default) or "tcp"
-// (loopback, or the interface named by DIFFUSE_DIST_BIND). Results are
-// bit-identical across transports; an empty transport falls back to
-// DIFFUSE_DIST_TRANSPORT and then to unix.
-func NewDistributedTransportContext(ranks int, transport string) *Context {
 	cfg := core.DefaultConfig(ranks)
 	cfg.Ranks = ranks
-	cfg.Transport = transport
 	return NewContext(core.New(cfg))
 }
 

@@ -98,7 +98,7 @@ const (
 	// stealing.
 	ExecChunked = legion.ExecChunked
 	// ExecPerPoint spawns one goroutine per point task (the v1 executor,
-	// kept as the measured baseline of BENCH_real.json).
+	// kept as the chunked executor's bit-identity oracle).
 	ExecPerPoint = legion.ExecPerPoint
 )
 

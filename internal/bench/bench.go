@@ -11,10 +11,10 @@
 // simulated throughput.
 //
 // The real-mode macrobenchmark suite (realsuite.go) times actual
-// wall-clock execution of CG, Jacobi, Black-Scholes, and SWE at several
-// problem sizes under both real-mode executors — the persistent chunked
-// pool and the per-point-goroutine baseline — and emits the committed
-// BENCH_real.json trajectory. See docs/BENCHMARKS.md.
+// wall-clock execution of CG, Jacobi, Black-Scholes, SWE, and more at
+// several problem sizes, fused and unfused and against configuration
+// baselines, and emits the committed BENCH_real.json trajectory. See
+// docs/BENCHMARKS.md.
 package bench
 
 import (

@@ -5,12 +5,11 @@ package bench
 // the committed trajectory, and the gate fails when a matching row's
 // *ratio* metrics regress beyond the tolerance. Absolute ns/iter are
 // machine-dependent — a CI runner and the machine that produced the
-// committed file share almost nothing — but each row's ratios (chunked vs
-// per-point executor, sharded vs unsharded, wavefront vs stage-barrier)
-// are measured within one run on one machine, so a collapse there means
-// the code, not the hardware, got slower. The committed full trajectory
-// includes the tiny smoke rows precisely so CI's fresh tiny run has exact
-// identity matches.
+// committed file share almost nothing — but each row's ratios (fused vs
+// unfused, and the row vs its baseline) are measured within one run on
+// one machine, so a collapse there means the code, not the hardware, got
+// slower. The committed full trajectory includes the tiny smoke rows
+// precisely so CI's fresh tiny run has exact identity matches.
 
 import (
 	"encoding/json"
@@ -24,39 +23,19 @@ import (
 // deliberately ignores noise-sized wobble and catches collapses.
 const DefaultCompareTolerance = 0.25
 
-// compareKey is the row identity rows are matched on.
-type compareKey struct {
-	App       string
-	Size      string
-	N         int
-	Shards    int
-	Ranks     int
-	Wavefront bool
-	Codegen   bool
-	Feedback  bool
-	DType     string
-	Fused     bool
-	Tenants   int
-}
-
-func keyOf(r RealResult) compareKey {
-	return compareKey{App: r.App, Size: r.Size, N: r.N, Shards: r.Shards,
-		Ranks: r.Ranks, Wavefront: r.Wavefront, Codegen: r.Codegen,
-		Feedback: r.Feedback, DType: r.DType, Fused: r.Fused,
-		Tenants: r.Tenants}
-}
-
-func (k compareKey) String() string {
-	return fmt.Sprintf("%s/%s/n=%d/shards=%d/ranks=%d/wf=%v/cg=%v/fb=%v/%s/fused=%v/tenants=%d",
-		k.App, k.Size, k.N, k.Shards, k.Ranks, k.Wavefront, k.Codegen, k.Feedback, k.DType, k.Fused, k.Tenants)
-}
-
 // CompareRealSuites validates both documents against the current schema,
 // matches fresh rows to committed rows by identity, and reports every
-// ratio metric that regressed by more than tol. Fresh rows with no
+// ratio metric that regressed by more than its floor. Fresh rows with no
 // committed match are reported (not failed) — a new workload lands in the
 // fresh file one PR before its trajectory is committed. Returns the number
 // of regressions (0 = gate passes).
+//
+// The floor is derived from the row. fusion_speedup divides two runs
+// measured interleaved within one case and gets tol; speedup_vs_baseline
+// divides two rows measured apart and carries twice the noise, so it gets
+// 2·tol. Either is tripled when the row or its baseline runs more than one
+// process or tenant, whose time also moves with how the OS schedules
+// them. No floor exceeds 90%.
 func CompareRealSuites(freshData, committedData []byte, tol float64, w io.Writer) (int, error) {
 	if tol <= 0 {
 		tol = DefaultCompareTolerance
@@ -69,8 +48,7 @@ func CompareRealSuites(freshData, committedData []byte, tol float64, w io.Writer
 	if err != nil {
 		return 0, fmt.Errorf("committed suite: %w", err)
 	}
-	// Ratios shift with core count for hardware reasons (the per-point
-	// baseline parallelizes differently than the pool), so a comparison
+	// Ratios shift with core count for hardware reasons, so a comparison
 	// is only meaningful at the committed trajectory's parallelism. The
 	// CI job pins GOMAXPROCS to the committed file's value; a mismatch
 	// here means the harness contract broke, not the code.
@@ -78,82 +56,49 @@ func CompareRealSuites(freshData, committedData []byte, tol float64, w io.Writer
 		return 0, fmt.Errorf("bench: fresh suite ran at GOMAXPROCS=%d but the committed trajectory was recorded at %d — rerun with GOMAXPROCS=%d (or regenerate the trajectory)",
 			fresh.GoMaxProcs, committed.GoMaxProcs, committed.GoMaxProcs)
 	}
-	base := map[compareKey]RealResult{}
-	for _, r := range committed.Results {
-		base[keyOf(r)] = r
-	}
+	freshRows, committedRows := fresh.byID(), committed.byID()
 	regressions, matched := 0, 0
 	for _, fr := range fresh.Results {
-		cr, ok := base[keyOf(fr)]
-		if !ok {
-			fmt.Fprintf(w, "  skip %s: no committed row\n", keyOf(fr))
+		name := fmt.Sprintf("%s/fused=%v", fr.key(), fr.Fused)
+		cr, ok := committedRows[fr.id()]
+		if !ok || cr.N != fr.N {
+			fmt.Fprintf(w, "  skip %s: no committed row\n", name)
 			continue
 		}
 		matched++
+		scale := 1.0
+		base, hasBase := freshRows[rowID{fr.Baseline, fr.Fused}]
+		if fr.multiProcess() || hasBase && base.multiProcess() {
+			scale = 3
+		}
 		check := func(metric string, got, want, mtol float64) {
 			if want <= 0 || got <= 0 {
-				return // metric absent on one side (e.g. twin measured later)
+				return // metric absent on one side
 			}
-			if mtol > 0.9 {
-				mtol = 0.9
-			}
-			if got < want*(1-mtol) {
+			floor := want * (1 - min(mtol, 0.9))
+			if got < floor {
 				regressions++
-				fmt.Fprintf(w, "  REGRESSION %s: %s %.2fx, committed %.2fx (floor %.2fx)\n",
-					keyOf(fr), metric, got, want, want*(1-mtol))
+				fmt.Fprintf(w, "  REGRESSION %s: %s %.2fx, committed %.2fx (floor %.2fx)\n", name, metric, got, want, floor)
 			} else {
-				fmt.Fprintf(w, "  ok %s: %s %.2fx vs %.2fx\n", keyOf(fr), metric, got, want)
+				fmt.Fprintf(w, "  ok %s: %s %.2fx vs %.2fx\n", name, metric, got, want)
 			}
 		}
-		// Speedup is a within-row ratio: both executors are measured
-		// interleaved inside one case loop, so it gets the full
-		// tolerance. The sharding and wavefront ratios divide chunked
-		// times from *different rows* measured minutes apart — twice the
-		// noise exposure on second-long tiny rows — so their floor is
-		// doubled: the gate still catches a collapse (a lost scheduler is
-		// a >2x swing on the committed rows) without flaking on wobble.
-		// On a multi-process row even the within-row speedup divides a
-		// two-process numerator by a one-process denominator, so it swings
-		// with how the OS schedules the rank processes — widen its floor to
-		// match the rank ratio's.
-		speedupTol := tol
-		if fr.Ranks > 1 {
-			speedupTol = 3 * tol
-		}
-		check("chunked-vs-perpoint", fr.Speedup, cr.Speedup, speedupTol)
-		check("shards-vs-1", fr.ShardSpeedupVs1, cr.ShardSpeedupVs1, 2*tol)
-		check("wavefront-vs-barrier", fr.WavefrontSpeedupVsBarrier, cr.WavefrontSpeedupVsBarrier, 2*tol)
-		// The codegen ratio divides chunked times from two rows measured
-		// back to back (the interpreter twin immediately precedes its
-		// codegen row), so it gets the cross-row floor: a collapse means
-		// the compiled tier stopped engaging — CodegenOff restoring the
-		// interpreter path shows up here as a ratio near 1.
-		check("codegen-vs-interp", fr.CodegenSpeedupVsInterp, cr.CodegenSpeedupVsInterp, 2*tol)
-		// The feedback ratio likewise divides chunked times from two rows
-		// measured back to back (the static-schedule twin immediately
-		// precedes its feedback row), so it gets the doubled cross-row
-		// floor: a collapse means calibration stopped improving the
-		// schedule — FeedbackOff restoring the static model shows up here
-		// as a ratio near 1.
-		check("feedback-vs-static", fr.FeedbackSpeedupVsStatic, cr.FeedbackSpeedupVsStatic, 2*tol)
-		// The rank ratio divides a two-process measurement by a one-process
-		// one, so it moves with the runner's core count and load as well as
-		// with the clock — triple the floor: the gate still catches a
-		// transport collapse (a lost pipeline is far more than a 4x swing)
-		// without flaking on scheduler variance.
-		check("ranks-vs-1", fr.RankSpeedupVs1, cr.RankSpeedupVs1, 3*tol)
-		// The serve ratio divides aggregate throughputs measured against two
-		// separately-started servers, and multi-tenant throughput moves with
-		// the runner's core count and background load — triple the floor,
-		// like the rank ratio: the gate still catches a multiplexing
-		// collapse (a serialized front end drops 16-tenant scaling to ~1x)
-		// without flaking on scheduler variance.
-		check("serve-vs-1tenant", fr.ServeSpeedupVs1Tenant, cr.ServeSpeedupVs1Tenant, 3*tol)
+		check("fusion_speedup", fr.FusionSpeedup, cr.FusionSpeedup, scale*tol)
+		check("speedup_vs_baseline", fr.SpeedupVsBaseline, cr.SpeedupVsBaseline, 2*scale*tol)
 	}
 	if matched == 0 {
 		return 0, fmt.Errorf("bench: no fresh row matched any committed row — presets out of sync")
 	}
 	return regressions, nil
+}
+
+// byID indexes the suite's rows by identity.
+func (s *RealSuite) byID() map[rowID]RealResult {
+	m := make(map[rowID]RealResult, len(s.Results))
+	for _, r := range s.Results {
+		m[r.id()] = r
+	}
+	return m
 }
 
 func decodeSuite(data []byte) (*RealSuite, error) {

@@ -2,14 +2,12 @@ package bench
 
 import (
 	"bytes"
-	"encoding/json"
 	"strings"
 	"testing"
 )
 
-func suiteJSON(t *testing.T, rows []RealResult) []byte {
+func suiteJSON(t *testing.T, s *RealSuite) []byte {
 	t.Helper()
-	s := &RealSuite{Schema: RealSchema, Command: "test", GoMaxProcs: 1, Procs: 8, Preset: "tiny", Results: rows}
 	data, err := MarshalRealSuite(s)
 	if err != nil {
 		t.Fatal(err)
@@ -17,90 +15,125 @@ func suiteJSON(t *testing.T, rows []RealResult) []byte {
 	return data
 }
 
-func row(app string, shards int, wavefront bool, speedup, shardVs1, wfVsBarrier float64) RealResult {
-	return RealResult{
-		App: app, Size: "tiny", N: 64, Procs: 8, Shards: shards, Wavefront: wavefront,
-		DType: "f64", Fused: true, Iters: 3,
-		ChunkedNsPerIter: 100, PerPointNsPerIter: 100 * speedup, Speedup: speedup,
-		ShardSpeedupVs1: shardVs1, WavefrontSpeedupVsBarrier: wfVsBarrier,
-		TasksPerIter: 5, FusionRatio: 0.5,
+// gateSuite is a small valid suite: an unsharded engine row, its sharded
+// and distributed variants measured against it, and a serve pair.
+func gateSuite() *RealSuite {
+	eng := func(shards, ranks int, fusion float64, baseline string, vs float64) RealResult {
+		return RealResult{App: "A", Size: "tiny", N: 64, Procs: 8, Shards: shards, Ranks: ranks,
+			Variant: "default", DType: "f64", Fused: true, Iters: 3, NsPerIter: 100,
+			FusionSpeedup: fusion, Baseline: baseline, SpeedupVsBaseline: vs,
+			TasksPerIter: 5, FusionRatio: 0.5}
 	}
+	srv := func(tenants int, baseline string, vs float64) RealResult {
+		return RealResult{App: "S", Size: "tiny", N: 64, Procs: 8, Shards: 1, Tenants: tenants,
+			Variant: "default", DType: "f64", Fused: true, Iters: 3, NsPerIter: 100,
+			Baseline: baseline, SpeedupVsBaseline: vs, StreamsPerSec: 10, ServePlanCacheHits: 1}
+	}
+	return &RealSuite{Schema: RealSchema, Command: "test", GoMaxProcs: 2, Procs: 8, Preset: "tiny",
+		Results: []RealResult{
+			eng(1, 0, 2.0, "", 0),
+			eng(4, 0, 2.0, "A/tiny", 1.6),
+			eng(2, 2, 2.0, "A/tiny", 1.0),
+			srv(1, "", 0),
+			srv(4, "S/tiny/tenants=1", 2.0),
+		}}
 }
 
-// TestCompareRealSuites: matching rows pass inside the tolerance, fail
-// beyond it, and unmatched rows are skipped without failing the gate.
+// Row indices into gateSuite().Results.
+const (
+	gatePlain = iota
+	gateSharded
+	gateRanks
+	gateServe1
+	gateServe4
+)
+
+// TestCompareRealSuites drives the generic gate: fusion_speedup at tol,
+// speedup_vs_baseline at 2·tol, both tripled on multi-process and
+// multi-tenant rows (capped at a 90% floor), unmatched rows skipped, and
+// harness mismatches reported as errors. The tolerance is 0.25.
 func TestCompareRealSuites(t *testing.T) {
-	committed := suiteJSON(t, []RealResult{
-		row("A", 1, true, 2.0, 0, 0),
-		row("B", 4, true, 2.0, 1.5, 1.6),
-	})
-
-	var out bytes.Buffer
-	fresh := suiteJSON(t, []RealResult{
-		row("A", 1, true, 1.6, 0, 0),     // within 25% of 2.0
-		row("B", 4, true, 1.9, 1.4, 1.3), // all within
-		row("C", 1, true, 1.0, 0, 0),     // no committed twin: skipped
-	})
-	n, err := CompareRealSuites(fresh, committed, 0.25, &out)
-	if err != nil || n != 0 {
-		t.Fatalf("clean compare: regressions=%d err=%v\n%s", n, err, out.String())
+	cases := []struct {
+		name    string
+		edit    func(s *RealSuite)
+		want    int    // regressions
+		wantOut string // substring of the report
+		wantErr bool
+	}{
+		{name: "identical", edit: func(*RealSuite) {}, wantOut: "ok A/tiny/fused=true: fusion_speedup"},
+		{name: "within-case floor holds", edit: func(s *RealSuite) { s.Results[gatePlain].FusionSpeedup = 1.6 }},
+		{name: "within-case floor breaks", edit: func(s *RealSuite) { s.Results[gatePlain].FusionSpeedup = 1.4 },
+			want: 1, wantOut: "REGRESSION A/tiny/fused=true: fusion_speedup"},
+		{name: "cross-row floor holds", edit: func(s *RealSuite) { s.Results[gateSharded].SpeedupVsBaseline = 0.9 }},
+		{name: "cross-row floor breaks", edit: func(s *RealSuite) { s.Results[gateSharded].SpeedupVsBaseline = 0.7 },
+			want: 1, wantOut: "REGRESSION A/tiny/shards=4/fused=true: speedup_vs_baseline"},
+		{name: "ranks row within-case floor tripled", edit: func(s *RealSuite) { s.Results[gateRanks].FusionSpeedup = 0.6 }},
+		{name: "ranks row within-case floor breaks", edit: func(s *RealSuite) { s.Results[gateRanks].FusionSpeedup = 0.4 }, want: 1},
+		{name: "ranks row cross-row floor capped", edit: func(s *RealSuite) { s.Results[gateRanks].SpeedupVsBaseline = 0.15 }},
+		{name: "ranks row cross-row floor breaks", edit: func(s *RealSuite) { s.Results[gateRanks].SpeedupVsBaseline = 0.05 }, want: 1},
+		{name: "tenants row cross-row floor tripled", edit: func(s *RealSuite) { s.Results[gateServe4].SpeedupVsBaseline = 0.3 }},
+		{name: "tenants row cross-row floor breaks", edit: func(s *RealSuite) { s.Results[gateServe4].SpeedupVsBaseline = 0.1 },
+			want: 1, wantOut: "REGRESSION S/tiny/tenants=4/fused=true"},
+		{name: "unmatched row skipped", edit: func(s *RealSuite) {
+			extra := s.Results[gatePlain]
+			extra.App = "B"
+			s.Results = append(s.Results, extra)
+		}, wantOut: "skip B/tiny/fused=true"},
+		{name: "no row matches", edit: func(s *RealSuite) {
+			s.Results = s.Results[gateServe1 : gateServe1+1]
+			s.Results[0].App = "Z"
+		}, wantErr: true},
+		{name: "gomaxprocs mismatch", edit: func(s *RealSuite) { s.GoMaxProcs = 4 }, wantErr: true},
 	}
-	if !strings.Contains(out.String(), "skip") {
-		t.Fatalf("unmatched fresh row not reported as skipped:\n%s", out.String())
-	}
-
-	// Cross-row ratios get twice the tolerance: 1.0 vs committed 1.6 is
-	// inside the doubled floor (0.8), 0.7 is not.
-	out.Reset()
-	fresh = suiteJSON(t, []RealResult{row("B", 4, true, 2.0, 1.5, 1.0)})
-	n, err = CompareRealSuites(fresh, committed, 0.25, &out)
-	if err != nil || n != 0 {
-		t.Fatalf("wobbling wavefront ratio should pass the doubled floor: regressions=%d err=%v\n%s", n, err, out.String())
-	}
-	out.Reset()
-	fresh = suiteJSON(t, []RealResult{row("B", 4, true, 2.0, 1.5, 0.7)})
-	n, err = CompareRealSuites(fresh, committed, 0.25, &out)
-	if err != nil || n != 1 {
-		t.Fatalf("collapsed wavefront ratio: regressions=%d err=%v\n%s", n, err, out.String())
-	}
-	if !strings.Contains(out.String(), "wavefront-vs-barrier") {
-		t.Fatalf("regression metric not named:\n%s", out.String())
-	}
-	// A collapsed within-row speedup fails at the plain tolerance.
-	out.Reset()
-	fresh = suiteJSON(t, []RealResult{row("B", 4, true, 1.2, 1.5, 1.6)})
-	n, err = CompareRealSuites(fresh, committed, 0.25, &out)
-	if err != nil || n != 1 {
-		t.Fatalf("collapsed speedup: regressions=%d err=%v\n%s", n, err, out.String())
-	}
-
-	// Disjoint suites are an error, not a silent pass.
-	fresh = suiteJSON(t, []RealResult{row("Z", 1, true, 2.0, 0, 0)})
-	if _, err = CompareRealSuites(fresh, committed, 0.25, &out); err == nil {
-		t.Fatal("disjoint suites should error")
-	}
-
-	// A parallelism mismatch is a harness-contract error: ratios shift
-	// with core count, so the comparison would be meaningless.
-	var wide RealSuite
-	if err := json.Unmarshal(suiteJSON(t, []RealResult{row("A", 1, true, 2.0, 0, 0)}), &wide); err != nil {
-		t.Fatal(err)
-	}
-	wide.GoMaxProcs = 4
-	wideData, err := MarshalRealSuite(&wide)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err = CompareRealSuites(wideData, committed, 0.25, &out); err == nil {
-		t.Fatal("GOMAXPROCS mismatch should error")
+	committed := suiteJSON(t, gateSuite())
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			fresh := gateSuite()
+			tc.edit(fresh)
+			var out bytes.Buffer
+			n, err := CompareRealSuites(suiteJSON(t, fresh), committed, 0.25, &out)
+			if (err != nil) != tc.wantErr {
+				t.Fatalf("err = %v, want error %v\n%s", err, tc.wantErr, out.String())
+			}
+			if n != tc.want {
+				t.Fatalf("regressions = %d, want %d\n%s", n, tc.want, out.String())
+			}
+			if !strings.Contains(out.String(), tc.wantOut) {
+				t.Fatalf("report lacks %q:\n%s", tc.wantOut, out.String())
+			}
+		})
 	}
 }
 
-// TestValidateRejectsUnshardedBarrierRow: wavefront=false only makes
+// TestValidateRejectsUnshardedBarrierRow: the barrier variant only makes
 // sense on sharded rows.
 func TestValidateRejectsUnshardedBarrierRow(t *testing.T) {
-	bad := suiteJSON(t, []RealResult{row("A", 1, false, 2.0, 0, 0)})
-	if err := ValidateRealSuite(bad); err == nil {
+	s := gateSuite()
+	s.Results[gatePlain].Variant = "barrier"
+	if err := ValidateRealSuite(suiteJSON(t, s)); err == nil {
 		t.Fatal("unsharded stage-barrier row should fail validation")
+	}
+}
+
+// TestValidateRejectsCrossRowViolations: a baseline must name an earlier
+// row, a ratio needs a baseline, and serve metrics belong to serve rows.
+func TestValidateRejectsCrossRowViolations(t *testing.T) {
+	if err := ValidateRealSuite(suiteJSON(t, gateSuite())); err != nil {
+		t.Fatalf("fixture: %v", err)
+	}
+	cases := map[string]func(s *RealSuite){
+		"missing baseline": func(s *RealSuite) { s.Results[gateSharded].Baseline = "A/huge" },
+		"later baseline": func(s *RealSuite) {
+			s.Results[gatePlain], s.Results[gateSharded] = s.Results[gateSharded], s.Results[gatePlain]
+		},
+		"ratio without baseline":         func(s *RealSuite) { s.Results[gateSharded].Baseline = "" },
+		"serve metrics on an engine row": func(s *RealSuite) { s.Results[gatePlain].StreamsPerSec = 10 },
+	}
+	for name, edit := range cases {
+		s := gateSuite()
+		edit(s)
+		if err := ValidateRealSuite(suiteJSON(t, s)); err == nil {
+			t.Errorf("%s: validation passed", name)
+		}
 	}
 }

@@ -1,19 +1,23 @@
 package bench
 
 // The real-mode macrobenchmark suite behind BENCH_real.json: actual
-// wall-clock executions of CG, Jacobi, Black-Scholes, and SWE at several
-// problem sizes, each measured under the persistent chunked executor and
-// under the per-point-goroutine baseline it replaced. The committed JSON
-// is the performance trajectory later PRs are judged against; its absolute
-// numbers are machine-dependent, the chunked/per-point ratios much less
-// so. See docs/BENCHMARKS.md.
+// wall-clock executions of CG, Jacobi, Black-Scholes, SWE, Jacobi-MRHS,
+// the deep stencil chain, and the multi-tenant service mode at several
+// problem sizes. Every engine case is measured fused and unfused,
+// interleaved; a case may also name an earlier row as its baseline — the
+// same workload with one configuration delta undone — and records its
+// speedup over it. The committed JSON is the performance trajectory later
+// PRs are judged against; its absolute numbers are machine-dependent, the
+// ratios much less so. See docs/BENCHMARKS.md.
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
 	"runtime"
+	"slices"
 	"time"
 
 	"diffuse/cunum"
@@ -26,33 +30,13 @@ import (
 
 // RealSchema versions the BENCH_real.json layout; bump it when fields
 // change so the CI schema gate fails loudly instead of silently drifting.
-// v2 added the dtype column (f32 rows for Black-Scholes and Jacobi) and
-// the f32-vs-f64 ratio on reduced-precision rows. v3 added the shards
-// column (sharded-execution rows for the Jacobi-MRHS workload) and the
-// shards-vs-1 ratio on sharded rows. v4 added the wavefront column (the
-// sharded drain scheduler: per-(shard, stage) DAG vs the v1 stage
-// barriers), the wavefront-vs-barrier ratio on wavefront rows with a
-// barrier twin, the deep-stencil-chain workload rows that expose the
-// difference, and the tiny smoke rows in the committed full trajectory
-// (the `-compare` regression gate matches CI's fresh tiny run against
-// them). v5 added the ranks column (multi-process distributed rows: the
-// workload runs as Ranks rank subprocesses over the local transport, 0 =
-// in-process) and the rank-speedup-vs-1 ratio on distributed rows. v6
-// added the codegen column (the kernel execution backend: the compiled-
-// closure tier vs the register interpreter, bit-identical by the
-// differential harness) and the codegen-vs-interp ratio on codegen rows
-// with an interpreter twin. v7 added the feedback column (feedback-
-// directed scheduling: online cost calibration driving chunk sizing,
-// inline routing, the backend pick, and wavefront dispatch order, vs the
-// static machine model) and the feedback-vs-static ratio on feedback rows
-// with a static-schedule twin; gomaxprocs is now stamped from the value
-// in effect while measuring, not at header construction. v8 added the
-// tenants column (multi-tenant service-mode rows: N concurrent tenants
-// submitting identical workload streams to one diffuse-serve front end,
-// 0 = not a serve row), the streams/sec throughput and shared-plan-cache
-// hit/miss counters on serve rows, and the serve-speedup-vs-1-tenant
-// ratio on multi-tenant rows.
-const RealSchema = "diffuse-bench-real/v8"
+// v2–v8 added, one per revision, the dtype, shards, wavefront, ranks,
+// codegen, feedback, and tenants columns, each with its own twin-row
+// ratio. v9 replaced the per-point executor columns and those seven
+// ratios with one generic axis: a variant column, a baseline key with
+// its speedup_vs_baseline ratio, and the fused-vs-unfused fusion_speedup;
+// every timed window now ends at a forced read.
+const RealSchema = "diffuse-bench-real/v9"
 
 // RealResult is one measured row of the real-mode suite.
 type RealResult struct {
@@ -65,76 +49,32 @@ type RealResult struct {
 	// this many rank subprocesses (core.Config.Ranks, which forces Shards
 	// equal). 0 = in-process.
 	Ranks int `json:"ranks"`
-	// Wavefront reports the sharded drain scheduler: true is the
-	// per-(shard, stage) DAG default, false the v1 stage-barrier baseline
-	// (only sharded rows are ever measured with it off).
-	Wavefront bool `json:"wavefront"`
-	// Codegen reports the kernel execution backend: true is the compiled-
-	// closure tier default, false the register-interpreter baseline (the
-	// bit-identical oracle the differential harness holds the tier to).
-	Codegen bool `json:"codegen"`
-	// Feedback reports feedback-directed scheduling: true is the online
-	// cost-calibration default, false the static-machine-model baseline
-	// (bit-identical results either way; only schedule shape differs).
-	Feedback bool   `json:"feedback"`
-	DType    string `json:"dtype"` // element type of the app's arrays (f64/f32)
-	Fused    bool   `json:"fused"` // Diffuse fusion enabled
-	Iters    int    `json:"iters"` // timed iterations
 	// Tenants reports multi-tenant service-mode rows: this many concurrent
 	// tenants submitted identical workload streams to one in-process
-	// diffuse-serve front end (iters is then streams per tenant, and the
-	// ns/iter columns are ns per stream). 0 = not a serve row.
+	// diffuse-serve front end (iters is then streams per tenant, and
+	// ns_per_iter is ns per stream). 0 = not a serve row.
 	Tenants int `json:"tenants"`
+	// Variant names the configuration switch the row ran with (a
+	// realVariants key): "default", or one bit-identical oracle path.
+	Variant string `json:"variant"`
+	DType   string `json:"dtype"` // element type of the app's arrays (f64/f32)
+	Fused   bool   `json:"fused"` // Diffuse fusion enabled
+	Iters   int    `json:"iters"` // timed iterations
 
-	ChunkedNsPerIter  float64 `json:"chunked_ns_per_iter"`
-	PerPointNsPerIter float64 `json:"perpoint_ns_per_iter"`
-	// Speedup is PerPointNsPerIter / ChunkedNsPerIter: the chunked
-	// executor's throughput gain over the per-point-goroutine baseline.
-	Speedup float64 `json:"speedup"`
-
-	// F32SpeedupVsF64 (f32 rows only) is the matching f64 row's chunked
-	// ns/iter divided by this row's — the wall-clock value of halving the
-	// element width on this app/size, >1 when f32 wins.
-	F32SpeedupVsF64 float64 `json:"f32_speedup_vs_f64,omitempty"`
-
-	// ShardSpeedupVs1 (shards > 1 rows only) is the matching shards=1
-	// row's chunked ns/iter divided by this row's — the wall-clock value
-	// of shard-major scheduling on this app/size, >1 when sharding wins.
-	ShardSpeedupVs1 float64 `json:"shard_speedup_vs_1,omitempty"`
-
-	// RankSpeedupVs1 (ranks > 0 rows only) is the matching in-process
-	// unsharded row's chunked ns/iter divided by this row's — what the
-	// whole distributed stack (rank processes, control replication, halo
-	// transport) costs or wins against single-process execution. Expected
-	// < 1 on the local transport at smoke sizes: the value distributed
-	// execution buys is memory capacity and real-network scale, and this
-	// ratio makes its overhead a measured, gated quantity.
-	RankSpeedupVs1 float64 `json:"rank_speedup_vs_1,omitempty"`
-
-	// CodegenSpeedupVsInterp (codegen rows with an interpreter twin only)
-	// is the twin's chunked ns/iter divided by this row's — the wall-clock
-	// value of the compiled-kernel tier on this app/size, >1 when codegen
-	// wins. Both rows compute bit-identical results, so the ratio prices
-	// pure dispatch cost.
-	CodegenSpeedupVsInterp float64 `json:"codegen_speedup_vs_interp,omitempty"`
-
-	// WavefrontSpeedupVsBarrier (wavefront rows with a stage-barrier twin
-	// only) is the twin's chunked ns/iter divided by this row's — the
-	// wall-clock value of wavefront shard-stage pipelining on this
-	// app/size, >1 when the DAG drain wins.
-	WavefrontSpeedupVsBarrier float64 `json:"wavefront_speedup_vs_barrier,omitempty"`
-
-	// FeedbackSpeedupVsStatic (feedback rows with a static-schedule twin
-	// only) is the twin's chunked ns/iter divided by this row's — the
-	// wall-clock value of calibrating the schedule from measured costs on
-	// this app/size, >1 when feedback wins. Both rows compute bit-identical
-	// results, so the ratio prices pure scheduling quality.
-	FeedbackSpeedupVsStatic float64 `json:"feedback_speedup_vs_static,omitempty"`
+	NsPerIter float64 `json:"ns_per_iter"`
+	// FusionSpeedup (fused engine rows only) is the unfused row's ns/iter
+	// over this row's, the two measured interleaved within every rep of
+	// one case: the wall-clock value of fusion, >1 when fusing wins.
+	FusionSpeedup float64 `json:"fusion_speedup,omitempty"`
+	// Baseline is the key of the earlier row (same fused setting) this
+	// row is measured against, and SpeedupVsBaseline that row's ns/iter
+	// over this row's: >1 when this row's configuration delta wins.
+	Baseline          string  `json:"baseline,omitempty"`
+	SpeedupVsBaseline float64 `json:"speedup_vs_baseline,omitempty"`
 
 	// StreamsPerSec (serve rows only) is the aggregate submission
 	// throughput across all tenants of the row.
 	StreamsPerSec float64 `json:"streams_per_sec,omitempty"`
-
 	// ServePlanCacheHits / ServePlanCacheMisses (serve rows only) aggregate
 	// the per-tenant shared-compiled-plan-cache counters over the row's run
 	// (warmup included). Hits > 0 on a multi-tenant row is the measured
@@ -142,17 +82,46 @@ type RealResult struct {
 	ServePlanCacheHits   int64 `json:"serve_plan_cache_hits,omitempty"`
 	ServePlanCacheMisses int64 `json:"serve_plan_cache_misses,omitempty"`
 
-	// ServeSpeedupVs1Tenant (tenants > 1 rows only) is this row's
-	// streams/sec divided by the matching tenants=1 row's — the aggregate
-	// throughput gain from multiplexing tenants onto one runtime, >1 when
-	// the front end actually overlaps their work.
-	ServeSpeedupVs1Tenant float64 `json:"serve_speedup_vs_1tenant,omitempty"`
-
 	TasksPerIter float64 `json:"tasks_per_iter"` // index tasks reaching legion
 	// FusionRatio is the fraction of submitted tasks folded into fusions
 	// during the timed window.
 	FusionRatio float64 `json:"fusion_ratio"`
 }
+
+// key is the row identity baselines name and, with the fused setting, the
+// -compare gate matches on: app and size, then every configuration delta
+// from the default.
+func (r RealResult) key() string {
+	k := r.App + "/" + r.Size
+	if r.DType != "f64" {
+		k += "/" + r.DType
+	}
+	if r.Shards > 1 {
+		k += fmt.Sprintf("/shards=%d", r.Shards)
+	}
+	if r.Ranks > 0 {
+		k += fmt.Sprintf("/ranks=%d", r.Ranks)
+	}
+	if r.Tenants > 0 {
+		k += fmt.Sprintf("/tenants=%d", r.Tenants)
+	}
+	if r.Variant != "default" {
+		k += "/" + r.Variant
+	}
+	return k
+}
+
+// rowID identifies a row within one suite.
+type rowID struct {
+	key   string
+	fused bool
+}
+
+func (r RealResult) id() rowID { return rowID{r.key(), r.Fused} }
+
+// multiProcess reports a row whose time moves with how the OS schedules
+// several processes or tenants, not just with the code.
+func (r RealResult) multiProcess() bool { return r.Ranks > 1 || r.Tenants > 1 }
 
 // RealSuite is the full BENCH_real.json document.
 type RealSuite struct {
@@ -164,41 +133,115 @@ type RealSuite struct {
 	Results    []RealResult `json:"results"`
 }
 
-// realCase is one (app, size) configuration of the suite. reps full
-// measurements are taken per executor and the minimum kept — wall-clock
-// noise on shared machines is strictly additive.
+// realVariants maps each value of the variant column to the configuration
+// switch it applies. Every switch other than the default runs a
+// bit-identical oracle path, so a default row measured against a variant
+// baseline prices the switch alone.
+var realVariants = map[string]func(*core.Config){
+	"default": func(*core.Config) {},
+	// The v1 stage-barrier drain instead of the wavefront DAG (shards > 1).
+	"barrier": func(c *core.Config) { c.Wavefront = legion.WavefrontOff },
+	// The register interpreter instead of the compiled-kernel tier.
+	"interp": func(c *core.Config) { c.Codegen = legion.CodegenOff },
+	// The static cost model instead of feedback-directed scheduling.
+	"static": func(c *core.Config) { c.Feedback = legion.FeedbackOff },
+}
+
+// realCase is one configuration of the suite: a workload at one size and
+// its delta from the default configuration — dtype, shards, ranks,
+// variant, and tenants. reps full measurements are taken per fusion
+// setting; a row reports their median (the lower middle one for an even
+// count).
 type realCase struct {
 	app     string
 	size    string
 	n       int
 	dtype   cunum.DType
-	shards  int  // sharded-execution block count (0/1 = off)
-	ranks   int  // rank subprocess count (0 = in-process; forces shards = ranks)
-	barrier bool // drain with the v1 stage barriers instead of the wavefront DAG
-	interp  bool // run kernels on the interpreter instead of the codegen tier
-	nofb    bool // schedule from the static cost model (feedback off)
-	warmup  int
-	iters   int
-	reps    int
-	make    func(ctx *cunum.Context, n int, dt cunum.DType) Instance
+	shards  int    // sharded-execution block count (0/1 = off)
+	ranks   int    // rank subprocess count (0 = in-process; forces shards = ranks)
+	variant string // realVariants key ("" = default)
+	tenants int    // serve rows: concurrent tenants (0 = engine row)
+	// baseline is the key of an earlier row this case is measured against.
+	baseline string
+	warmup   int
+	iters    int // timed iterations (serve rows: streams per tenant)
+	reps     int // engine rows; a serve row keeps the best of serveBenchReps
+	// make builds an engine row's workload; req is the stream every tenant
+	// of a serve row submits.
+	make func(ctx *cunum.Context, n int, dt cunum.DType) realApp
+	req  serve.SubmitRequest
 }
 
-func mkCG(ctx *cunum.Context, n int, _ cunum.DType) Instance {
+// result returns the case's row at one fusion setting, identity only.
+func (c realCase) result(procs int, fused bool) RealResult {
+	variant := c.variant
+	if variant == "" {
+		variant = "default"
+	}
+	return RealResult{
+		App: c.app, Size: c.size, N: c.n, Procs: procs,
+		Shards: max(c.shards, c.ranks, 1), Ranks: c.ranks, Tenants: c.tenants,
+		Variant: variant, DType: c.dtype.String(), Fused: fused, Iters: c.iters,
+		Baseline: c.baseline,
+	}
+}
+
+// config is the ModeReal default configuration with the case's deltas
+// applied.
+func (c realCase) config(procs int, fused bool) core.Config {
+	cfg := core.DefaultConfig(procs)
+	cfg.Mode = legion.ModeReal
+	cfg.Machine = machine.DefaultA100(procs)
+	cfg.Enabled = fused
+	cfg.Shards = c.shards
+	cfg.Ranks = c.ranks
+	realVariants[c.result(procs, fused).Variant](&cfg)
+	return cfg
+}
+
+// realApp is a built engine workload: iterate submits iterations, and
+// probe returns a view of a store they write, whose forced scalar read
+// closes every timed window.
+type realApp struct {
+	ctx     *cunum.Context
+	iterate func(n int)
+	probe   func() *cunum.Array
+}
+
+// window submits iters iterations and returns the wall clock until they
+// are complete. Flush returns once legion holds the tasks, and on a
+// distributed runtime even a shard-group drain returns once the parent
+// has sent them; the closing read waits for everything before it — on
+// rank rows it is a round trip to rank 0 after the group's write-back.
+func (a realApp) window(iters int) time.Duration {
+	t0 := time.Now()
+	a.iterate(iters)
+	a.ctx.Flush()
+	if _, ok := a.probe().Future().ValueOK(); !ok {
+		panic("bench: the closing read of a real-mode window returned no data")
+	}
+	return time.Since(t0)
+}
+
+func mkCG(ctx *cunum.Context, n int, _ cunum.DType) realApp {
 	A := apps.BuildPoisson2D(ctx, n)
-	b := ctx.Ones(A.Rows())
-	return Instance{Ctx: ctx, Iterate: apps.NewCG(ctx, A, b, false).Iterate}
+	cg := apps.NewCG(ctx, A, ctx.Ones(A.Rows()), false)
+	return realApp{ctx, cg.Iterate, func() *cunum.Array { return cg.X }}
 }
 
-func mkJacobi(ctx *cunum.Context, n int, dt cunum.DType) Instance {
-	return Instance{Ctx: ctx, Iterate: apps.NewJacobiTotalT(ctx, n, dt).Iterate}
+func mkJacobi(ctx *cunum.Context, n int, dt cunum.DType) realApp {
+	j := apps.NewJacobiTotalT(ctx, n, dt)
+	return realApp{ctx, j.Iterate, func() *cunum.Array { return j.X }}
 }
 
-func mkBlackScholes(ctx *cunum.Context, n int, dt cunum.DType) Instance {
-	return Instance{Ctx: ctx, Iterate: apps.NewBlackScholesT(ctx, n, dt).Iterate}
+func mkBlackScholes(ctx *cunum.Context, n int, dt cunum.DType) realApp {
+	b := apps.NewBlackScholesT(ctx, n, dt)
+	return realApp{ctx, b.Iterate, func() *cunum.Array { return b.Call }}
 }
 
-func mkSWE(ctx *cunum.Context, n int, _ cunum.DType) Instance {
-	return Instance{Ctx: ctx, Iterate: apps.NewSWE(ctx, n, n, false).Iterate}
+func mkSWE(ctx *cunum.Context, n int, _ cunum.DType) realApp {
+	s := apps.NewSWE(ctx, n, n, false)
+	return realApp{ctx, s.Iterate, func() *cunum.Array { return s.H }}
 }
 
 // mrhsK is the right-hand-side count of the Jacobi-MRHS rows: enough
@@ -206,8 +249,9 @@ func mkSWE(ctx *cunum.Context, n int, _ cunum.DType) Instance {
 // exploit, small enough that the rows stay minutes, not hours.
 const mrhsK = 8
 
-func mkJacobiMRHS(ctx *cunum.Context, n int, dt cunum.DType) Instance {
-	return Instance{Ctx: ctx, Iterate: apps.NewJacobiMRHS(ctx, n, mrhsK, dt).Iterate}
+func mkJacobiMRHS(ctx *cunum.Context, n int, dt cunum.DType) realApp {
+	m := apps.NewJacobiMRHS(ctx, n, mrhsK, dt)
+	return realApp{ctx, m.Iterate, func() *cunum.Array { return m.X[mrhsK-1] }}
 }
 
 // Stencil-chain parameters: chainDepth dependent sweeps per iteration in
@@ -222,24 +266,43 @@ const (
 	chainDepthTiny = 6
 )
 
-func mkStencilChain(ctx *cunum.Context, n int, dt cunum.DType) Instance {
+func mkStencilChain(ctx *cunum.Context, n int, dt cunum.DType) realApp {
 	t, d := chainBlock, chainDepth
 	if n < 8192 {
 		t, d = chainBlockTiny, chainDepthTiny
 	}
-	return Instance{Ctx: ctx, Iterate: apps.NewStencilChain(ctx, n, t, d, apps.ChainUpwind, dt).Iterate}
+	sc := apps.NewStencilChain(ctx, n, t, d, apps.ChainUpwind, dt)
+	// The first live row: the state's leading block is the inflow pad.
+	return realApp{ctx, sc.Iterate, func() *cunum.Array { return sc.X.Slice([]int{t}, []int{t + 1}).Temp() }}
+}
+
+// serveRows returns the Serve-Chain rows of one size: every tenant
+// submits req streams times, at 1, 4, and 16 tenants, and the
+// multi-tenant rows are measured against the 1-tenant row.
+func serveRows(size string, req serve.SubmitRequest, streams int) []realCase {
+	var cs []realCase
+	for _, t := range []int{1, 4, 16} {
+		c := realCase{app: "Serve-Chain", size: size, n: req.N, tenants: t, iters: streams, req: req}
+		if t > 1 {
+			c.baseline = "Serve-Chain/" + size + "/tenants=1"
+		}
+		cs = append(cs, c)
+	}
+	return cs
 }
 
 // realCases returns the rows of a preset. "full" is the committed
 // trajectory (a few minutes of wall clock) plus the tiny smoke rows — the
 // committed file must contain rows the CI perf-regression gate can match
-// against a fresh tiny run (`diffuse-bench -compare`). "tiny" is the CI
-// smoke variant alone (seconds). n is the grid side for CG/SWE, total
-// unknowns for Jacobi, and options per processor for Black-Scholes.
+// against a fresh tiny run (`diffuse-bench -compare`). The tiny rows run
+// first, so they are measured in the same fresh process a CI run starts
+// from. "tiny" is the CI smoke variant alone (seconds). n is the grid
+// side for CG/SWE, total unknowns for Jacobi, and options per processor
+// for Black-Scholes.
 func realCases(preset string) []realCase {
 	switch preset {
 	case "full":
-		return append(fullCases(), realCases("tiny")...)
+		return append(tinyCases(), fullCases()...)
 	case "tiny":
 		return tinyCases()
 	default:
@@ -252,47 +315,43 @@ func fullCases() []realCase {
 	// granularity discussion targets (runtime overhead comparable to
 	// kernel work); "large" is compute-bound on the interpreted
 	// evaluator, bounding the executor's effect from both sides.
-	// Black-Scholes and Jacobi additionally run an f32 column: Jacobi
-	// "large" is the bandwidth-bound case (the n^2 matrix sweep
-	// dominates, and at n=512 the f32 matrix fits a cache level the
-	// f64 one does not), so it is where halving the element width
-	// shows up as wall-clock.
-	return []realCase{
-		// CG and Jacobi "small" run a static-schedule twin before the
+	// Black-Scholes and Jacobi additionally run an f32 column measured
+	// against the f64 row: Jacobi "large" is the bandwidth-bound case (the
+	// n^2 matrix sweep dominates, and at n=512 the f32 matrix fits a cache
+	// level the f64 one does not), so it is where halving the element
+	// width shows up as wall-clock.
+	cases := []realCase{
+		// CG and Jacobi "small" run a static-schedule baseline before the
 		// feedback row: fine-grained iterative solvers are where the static
-		// model's routing errors cost whole pool dispatches per task, so
-		// their feedback-vs-static ratio prices the calibration layer where
-		// it matters most.
-		// Twin pairs run longer windows and more reps than their size peers:
-		// the ratio divides two separately-measured rows, and on a host
-		// where GC pacing or scheduler phase can swing a short window ±50%,
-		// min-of-3 over short windows turns that into ratio noise the gate
-		// would read as a calibration collapse.
-		{app: "CG", size: "small", n: 16, nofb: true, warmup: 4, iters: 240, reps: 5, make: mkCG},
-		{app: "CG", size: "small", n: 16, warmup: 4, iters: 240, reps: 5, make: mkCG},
+		// model's routing errors cost whole pool dispatches per task.
+		// These pairs run longer windows and more reps than their size
+		// peers: the ratio divides two separately-measured rows, and on a
+		// host where GC pacing or scheduler phase can swing a short window
+		// ±50%, a few reps over short windows turn that into ratio noise.
+		{app: "CG", size: "small", n: 16, variant: "static", warmup: 4, iters: 240, reps: 5, make: mkCG},
+		{app: "CG", size: "small", n: 16, baseline: "CG/small/static", warmup: 4, iters: 240, reps: 5, make: mkCG},
 		{app: "CG", size: "medium", n: 48, warmup: 4, iters: 60, reps: 3, make: mkCG},
 		{app: "CG", size: "large", n: 144, warmup: 3, iters: 15, reps: 2, make: mkCG},
-		{app: "Jacobi", size: "small", n: 64, nofb: true, warmup: 4, iters: 300, reps: 5, make: mkJacobi},
-		{app: "Jacobi", size: "small", n: 64, warmup: 4, iters: 300, reps: 5, make: mkJacobi},
+		{app: "Jacobi", size: "small", n: 64, variant: "static", warmup: 4, iters: 300, reps: 5, make: mkJacobi},
+		{app: "Jacobi", size: "small", n: 64, baseline: "Jacobi/small/static", warmup: 4, iters: 300, reps: 5, make: mkJacobi},
 		{app: "Jacobi", size: "medium", n: 192, warmup: 3, iters: 80, reps: 3, make: mkJacobi},
 		{app: "Jacobi", size: "large", n: 512, warmup: 3, iters: 20, reps: 2, make: mkJacobi},
-		{app: "Jacobi", size: "small", n: 64, dtype: cunum.F32, warmup: 4, iters: 200, reps: 3, make: mkJacobi},
-		{app: "Jacobi", size: "medium", n: 192, dtype: cunum.F32, warmup: 3, iters: 80, reps: 3, make: mkJacobi},
-		{app: "Jacobi", size: "large", n: 512, dtype: cunum.F32, warmup: 3, iters: 20, reps: 2, make: mkJacobi},
+		{app: "Jacobi", size: "small", n: 64, dtype: cunum.F32, baseline: "Jacobi/small", warmup: 4, iters: 200, reps: 3, make: mkJacobi},
+		{app: "Jacobi", size: "medium", n: 192, dtype: cunum.F32, baseline: "Jacobi/medium", warmup: 3, iters: 80, reps: 3, make: mkJacobi},
+		{app: "Jacobi", size: "large", n: 512, dtype: cunum.F32, baseline: "Jacobi/large", warmup: 3, iters: 20, reps: 2, make: mkJacobi},
 		{app: "Black-Scholes", size: "small", n: 64, warmup: 4, iters: 100, reps: 3, make: mkBlackScholes},
-		// Black-Scholes "medium" runs an interpreter twin before each
+		// Black-Scholes "medium" runs an interpreter baseline before each
 		// codegen row: the workload is all element-wise arithmetic (the
-		// loops the closure tier compiles), so its codegen-vs-interp ratio
-		// prices the tier where it matters most, with the f32 row the
-		// headline (monomorphic float32 blocks vs the interpreter's
-		// per-element register dispatch).
-		{app: "Black-Scholes", size: "medium", n: 1024, interp: true, warmup: 3, iters: 30, reps: 3, make: mkBlackScholes},
-		{app: "Black-Scholes", size: "medium", n: 1024, warmup: 3, iters: 30, reps: 3, make: mkBlackScholes},
+		// loops the closure tier compiles), so it prices the tier where it
+		// matters most, with the f32 row the headline (monomorphic float32
+		// blocks vs the interpreter's per-element register dispatch).
+		{app: "Black-Scholes", size: "medium", n: 1024, variant: "interp", warmup: 3, iters: 30, reps: 3, make: mkBlackScholes},
+		{app: "Black-Scholes", size: "medium", n: 1024, baseline: "Black-Scholes/medium/interp", warmup: 3, iters: 30, reps: 3, make: mkBlackScholes},
 		{app: "Black-Scholes", size: "large", n: 8192, warmup: 3, iters: 10, reps: 2, make: mkBlackScholes},
-		{app: "Black-Scholes", size: "small", n: 64, dtype: cunum.F32, warmup: 4, iters: 100, reps: 3, make: mkBlackScholes},
-		{app: "Black-Scholes", size: "medium", n: 1024, dtype: cunum.F32, interp: true, warmup: 3, iters: 30, reps: 3, make: mkBlackScholes},
-		{app: "Black-Scholes", size: "medium", n: 1024, dtype: cunum.F32, warmup: 3, iters: 30, reps: 3, make: mkBlackScholes},
-		{app: "Black-Scholes", size: "large", n: 8192, dtype: cunum.F32, warmup: 3, iters: 10, reps: 2, make: mkBlackScholes},
+		{app: "Black-Scholes", size: "small", n: 64, dtype: cunum.F32, baseline: "Black-Scholes/small", warmup: 4, iters: 100, reps: 3, make: mkBlackScholes},
+		{app: "Black-Scholes", size: "medium", n: 1024, dtype: cunum.F32, variant: "interp", baseline: "Black-Scholes/medium/interp", warmup: 3, iters: 30, reps: 3, make: mkBlackScholes},
+		{app: "Black-Scholes", size: "medium", n: 1024, dtype: cunum.F32, baseline: "Black-Scholes/medium/f32/interp", warmup: 3, iters: 30, reps: 3, make: mkBlackScholes},
+		{app: "Black-Scholes", size: "large", n: 8192, dtype: cunum.F32, baseline: "Black-Scholes/large", warmup: 3, iters: 10, reps: 2, make: mkBlackScholes},
 		{app: "SWE", size: "small", n: 16, warmup: 4, iters: 60, reps: 3, make: mkSWE},
 		{app: "SWE", size: "medium", n: 48, warmup: 3, iters: 30, reps: 3, make: mkSWE},
 		{app: "SWE", size: "large", n: 128, warmup: 3, iters: 10, reps: 2, make: mkSWE},
@@ -304,10 +363,10 @@ func fullCases() []realCase {
 		// cannot; "medium" fits near memory and bounds the effect
 		// from below. Results are bit-identical across shard counts.
 		{app: "Jacobi-MRHS", size: "medium", n: 2048, warmup: 1, iters: 6, reps: 2, make: mkJacobiMRHS},
-		{app: "Jacobi-MRHS", size: "medium", n: 2048, shards: 4, warmup: 1, iters: 6, reps: 2, make: mkJacobiMRHS},
+		{app: "Jacobi-MRHS", size: "medium", n: 2048, shards: 4, baseline: "Jacobi-MRHS/medium", warmup: 1, iters: 6, reps: 2, make: mkJacobiMRHS},
 		{app: "Jacobi-MRHS", size: "large", n: 4096, warmup: 1, iters: 4, reps: 2, make: mkJacobiMRHS},
-		{app: "Jacobi-MRHS", size: "large", n: 4096, shards: 2, warmup: 1, iters: 4, reps: 2, make: mkJacobiMRHS},
-		{app: "Jacobi-MRHS", size: "large", n: 4096, shards: 4, warmup: 1, iters: 4, reps: 2, make: mkJacobiMRHS},
+		{app: "Jacobi-MRHS", size: "large", n: 4096, shards: 2, baseline: "Jacobi-MRHS/large", warmup: 1, iters: 4, reps: 2, make: mkJacobiMRHS},
+		{app: "Jacobi-MRHS", size: "large", n: 4096, shards: 4, baseline: "Jacobi-MRHS/large", warmup: 1, iters: 4, reps: 2, make: mkJacobiMRHS},
 		// Deep stencil chain: chainDepth dependent block-banded matvec
 		// sweeps per iteration (internal/apps.StencilChain, upwind).
 		// "large" streams a 128 MB operator pair per sweep — past this
@@ -315,131 +374,83 @@ func fullCases() []realCase {
 		// re-streams it every sweep while the wavefront DAG keeps each
 		// shard's slabs hot across consecutive sweeps; "medium" (64 MB)
 		// sits below the wall and bounds the effect from the other
-		// side (the barrier drain's stage-major order is already
-		// near-optimal there). Each sharded size runs the barrier twin
-		// first, then the wavefront row that is measured against it.
+		// side. Each sharded size runs the barrier row first (measured
+		// against the unsharded row), then the wavefront row measured
+		// against it.
 		{app: "Stencil-Chain", size: "medium", n: 32768, warmup: 1, iters: 4, reps: 2, make: mkStencilChain},
-		{app: "Stencil-Chain", size: "medium", n: 32768, shards: 4, barrier: true, warmup: 1, iters: 4, reps: 2, make: mkStencilChain},
-		{app: "Stencil-Chain", size: "medium", n: 32768, shards: 4, warmup: 1, iters: 4, reps: 2, make: mkStencilChain},
+		{app: "Stencil-Chain", size: "medium", n: 32768, shards: 4, variant: "barrier", baseline: "Stencil-Chain/medium", warmup: 1, iters: 4, reps: 2, make: mkStencilChain},
+		{app: "Stencil-Chain", size: "medium", n: 32768, shards: 4, baseline: "Stencil-Chain/medium/shards=4/barrier", warmup: 1, iters: 4, reps: 2, make: mkStencilChain},
 		{app: "Stencil-Chain", size: "large", n: 65536, warmup: 1, iters: 3, reps: 2, make: mkStencilChain},
-		{app: "Stencil-Chain", size: "large", n: 65536, shards: 4, barrier: true, warmup: 1, iters: 3, reps: 2, make: mkStencilChain},
-		{app: "Stencil-Chain", size: "large", n: 65536, shards: 4, warmup: 1, iters: 3, reps: 2, make: mkStencilChain},
+		{app: "Stencil-Chain", size: "large", n: 65536, shards: 4, variant: "barrier", baseline: "Stencil-Chain/large", warmup: 1, iters: 3, reps: 2, make: mkStencilChain},
+		{app: "Stencil-Chain", size: "large", n: 65536, shards: 4, baseline: "Stencil-Chain/large/shards=4/barrier", warmup: 1, iters: 3, reps: 2, make: mkStencilChain},
 		// Multi-process distributed rows: the same workloads as 2 rank
-		// subprocesses over the local transport (core.Config.Ranks). Their
-		// rank-speedup-vs-1 ratio prices the whole distributed stack —
-		// process launch amortized away by warmup, control replication,
-		// and halo/write-back traffic — against the in-process unsharded
-		// row measured in the same run. Results are bit-identical to
-		// Shards=2 (the internal/dist tests hold that line).
-		{app: "Jacobi-MRHS", size: "medium", n: 2048, ranks: 2, warmup: 1, iters: 6, reps: 2, make: mkJacobiMRHS},
-		{app: "Stencil-Chain", size: "medium", n: 32768, ranks: 2, warmup: 1, iters: 4, reps: 2, make: mkStencilChain},
+		// subprocesses over the local transport (core.Config.Ranks),
+		// measured against the in-process unsharded row — the whole
+		// distributed stack (control replication, halo and write-back
+		// traffic) against single-process execution. Results are
+		// bit-identical to Shards=2 (the internal/dist tests hold that
+		// line).
+		{app: "Jacobi-MRHS", size: "medium", n: 2048, ranks: 2, baseline: "Jacobi-MRHS/medium", warmup: 1, iters: 6, reps: 2, make: mkJacobiMRHS},
+		{app: "Stencil-Chain", size: "medium", n: 32768, ranks: 2, baseline: "Stencil-Chain/medium", warmup: 1, iters: 4, reps: 2, make: mkStencilChain},
 	}
+	return append(cases, serveRows("medium", serve.SubmitRequest{Workload: "chain", N: 4096, Iters: 6}, 16)...)
 }
+
+// tinyReps is the rep count of every tiny engine row. On a noisy
+// two-core host the median of nine kept each gated ratio of the preset
+// within the gate's floor across repeated runs; the minimum of three to
+// five did not.
+const tinyReps = 9
 
 func tinyCases() []realCase {
 	// The tiny rows feed the CI perf-regression gate, so they trade a few
-	// extra seconds for stability: min-of-3 reps over enough iterations
-	// that a single scheduler hiccup cannot move a ratio past the gate's
-	// tolerance.
-	return []realCase{
-		// CG and Jacobi run a static-schedule twin first so the feedback
-		// rows carry a feedback-vs-static ratio the gate can watch: a
-		// collapse there means calibration stopped engaging (or started
-		// making the schedule worse than the static model).
-		// The twin pairs get longer windows and extra reps than the other
-		// tiny rows: their cross-row ratio is gated, and short windows on a
-		// noisy host swing far more than the calibration effect they price.
-		{app: "CG", size: "tiny", n: 24, nofb: true, warmup: 2, iters: 40, reps: 5, make: mkCG},
-		{app: "CG", size: "tiny", n: 24, warmup: 2, iters: 40, reps: 5, make: mkCG},
-		{app: "Jacobi", size: "tiny", n: 64, nofb: true, warmup: 2, iters: 60, reps: 5, make: mkJacobi},
-		{app: "Jacobi", size: "tiny", n: 64, warmup: 2, iters: 60, reps: 5, make: mkJacobi},
-		{app: "Jacobi", size: "tiny", n: 64, dtype: cunum.F32, warmup: 1, iters: 10, reps: 3, make: mkJacobi},
-		// Black-Scholes runs its interpreter twin first so the codegen rows
-		// carry a codegen-vs-interp ratio the gate can watch: a collapse
-		// there means the compiled tier stopped engaging (or stopped being
-		// faster than the interpreter it must beat).
-		{app: "Black-Scholes", size: "tiny", n: 256, interp: true, warmup: 1, iters: 4, reps: 3, make: mkBlackScholes},
-		{app: "Black-Scholes", size: "tiny", n: 256, warmup: 1, iters: 4, reps: 3, make: mkBlackScholes},
-		{app: "Black-Scholes", size: "tiny", n: 256, dtype: cunum.F32, interp: true, warmup: 1, iters: 4, reps: 3, make: mkBlackScholes},
-		{app: "Black-Scholes", size: "tiny", n: 256, dtype: cunum.F32, warmup: 1, iters: 4, reps: 3, make: mkBlackScholes},
-		{app: "SWE", size: "tiny", n: 24, warmup: 1, iters: 6, reps: 3, make: mkSWE},
-		{app: "Jacobi-MRHS", size: "tiny", n: 256, warmup: 1, iters: 5, reps: 3, make: mkJacobiMRHS},
-		{app: "Jacobi-MRHS", size: "tiny", n: 256, shards: 4, warmup: 1, iters: 5, reps: 3, make: mkJacobiMRHS},
-		{app: "Stencil-Chain", size: "tiny", n: 2048, warmup: 1, iters: 4, reps: 3, make: mkStencilChain},
-		{app: "Stencil-Chain", size: "tiny", n: 2048, shards: 4, barrier: true, warmup: 1, iters: 4, reps: 3, make: mkStencilChain},
-		{app: "Stencil-Chain", size: "tiny", n: 2048, shards: 4, warmup: 1, iters: 4, reps: 3, make: mkStencilChain},
-		// Distributed smoke rows: 2 rank subprocesses. The gate watches
-		// their rank-speedup-vs-1 ratio so a collapse in the control or
-		// halo path (not just outright breakage) fails CI.
-		{app: "Jacobi-MRHS", size: "tiny", n: 256, ranks: 2, warmup: 1, iters: 5, reps: 3, make: mkJacobiMRHS},
-		{app: "Stencil-Chain", size: "tiny", n: 2048, ranks: 2, warmup: 1, iters: 4, reps: 3, make: mkStencilChain},
+	// extra seconds for stability: the median of tinyReps reps, after
+	// enough warmup that the fusion window has stopped growing (one warmup
+	// iteration left Black-Scholes' fused window growth inside the timed
+	// window, at twice its steady-state ns/iter).
+	cases := []realCase{
+		// CG and Jacobi run a static-schedule baseline first, and the
+		// Black-Scholes codegen rows an interpreter baseline: a collapse in
+		// their ratio means calibration or the compiled tier stopped
+		// engaging. Jacobi, Black-Scholes, and the in-process Stencil-Chain
+		// rows run long windows: their iterations take tens of microseconds
+		// to a couple of milliseconds, and a few-millisecond window on a
+		// noisy host swings far more than the effects its ratios price.
+		{app: "CG", size: "tiny", n: 24, variant: "static", warmup: 2, iters: 40, reps: tinyReps, make: mkCG},
+		{app: "CG", size: "tiny", n: 24, baseline: "CG/tiny/static", warmup: 2, iters: 40, reps: tinyReps, make: mkCG},
+		{app: "Jacobi", size: "tiny", n: 64, variant: "static", warmup: 2, iters: 480, reps: tinyReps, make: mkJacobi},
+		{app: "Jacobi", size: "tiny", n: 64, baseline: "Jacobi/tiny/static", warmup: 2, iters: 480, reps: tinyReps, make: mkJacobi},
+		{app: "Jacobi", size: "tiny", n: 64, dtype: cunum.F32, baseline: "Jacobi/tiny", warmup: 2, iters: 480, reps: tinyReps, make: mkJacobi},
+		{app: "Black-Scholes", size: "tiny", n: 256, variant: "interp", warmup: 4, iters: 16, reps: tinyReps, make: mkBlackScholes},
+		{app: "Black-Scholes", size: "tiny", n: 256, baseline: "Black-Scholes/tiny/interp", warmup: 4, iters: 16, reps: tinyReps, make: mkBlackScholes},
+		{app: "Black-Scholes", size: "tiny", n: 256, dtype: cunum.F32, variant: "interp", baseline: "Black-Scholes/tiny/interp", warmup: 4, iters: 16, reps: tinyReps, make: mkBlackScholes},
+		{app: "Black-Scholes", size: "tiny", n: 256, dtype: cunum.F32, baseline: "Black-Scholes/tiny/f32/interp", warmup: 4, iters: 16, reps: tinyReps, make: mkBlackScholes},
+		{app: "SWE", size: "tiny", n: 24, warmup: 4, iters: 6, reps: tinyReps, make: mkSWE},
+		{app: "Jacobi-MRHS", size: "tiny", n: 256, warmup: 1, iters: 5, reps: tinyReps, make: mkJacobiMRHS},
+		{app: "Jacobi-MRHS", size: "tiny", n: 256, shards: 4, baseline: "Jacobi-MRHS/tiny", warmup: 1, iters: 5, reps: tinyReps, make: mkJacobiMRHS},
+		{app: "Stencil-Chain", size: "tiny", n: 2048, warmup: 1, iters: 16, reps: tinyReps, make: mkStencilChain},
+		{app: "Stencil-Chain", size: "tiny", n: 2048, shards: 4, variant: "barrier", baseline: "Stencil-Chain/tiny", warmup: 1, iters: 16, reps: tinyReps, make: mkStencilChain},
+		{app: "Stencil-Chain", size: "tiny", n: 2048, shards: 4, baseline: "Stencil-Chain/tiny/shards=4/barrier", warmup: 1, iters: 16, reps: tinyReps, make: mkStencilChain},
+		// Distributed smoke rows: 2 rank subprocesses, so a collapse in the
+		// control or halo path (not just outright breakage) fails CI.
+		{app: "Jacobi-MRHS", size: "tiny", n: 256, ranks: 2, baseline: "Jacobi-MRHS/tiny", warmup: 1, iters: 5, reps: tinyReps, make: mkJacobiMRHS},
+		{app: "Stencil-Chain", size: "tiny", n: 2048, ranks: 2, baseline: "Stencil-Chain/tiny", warmup: 1, iters: 4, reps: tinyReps, make: mkStencilChain},
 	}
+	// 16 streams per tenant: the 1-tenant row is latency-bound, so a
+	// shorter window is noise-dominated and can spuriously beat the
+	// multi-tenant rows measured against it.
+	return append(cases, serveRows("tiny", serve.SubmitRequest{Workload: "chain", N: 1024, Iters: 4}, 16)...)
 }
 
-// serveCase is one service-mode throughput configuration: the workload
-// stream every tenant submits, how many streams each tenant submits, and
-// the tenant counts to sweep.
-type serveCase struct {
-	size    string
-	req     serve.SubmitRequest
-	streams int
-	tenants []int
+// realSample is one timed window: wall-clock ns/iter plus the task
+// accounting of the window.
+type realSample struct {
+	ns, tasks, fusion float64
 }
 
-// serveCases returns the service-mode rows of a preset. Like realCases,
-// "full" includes the tiny configuration so the committed trajectory has
-// exact identity matches for CI's fresh tiny run.
-func serveCases(preset string) []serveCase {
-	switch preset {
-	case "full":
-		return append([]serveCase{{
-			size:    "medium",
-			req:     serve.SubmitRequest{Workload: "chain", N: 4096, Iters: 6},
-			streams: 16,
-			tenants: []int{1, 4, 16},
-		}}, serveCases("tiny")...)
-	case "tiny":
-		// 16 streams per tenant: the 1-tenant row is latency-bound, so a
-		// shorter window is noise-dominated and can spuriously beat the
-		// multi-tenant rows the gate expects to win.
-		return []serveCase{{
-			size:    "tiny",
-			req:     serve.SubmitRequest{Workload: "chain", N: 1024, Iters: 4},
-			streams: 16,
-			tenants: []int{1, 4, 16},
-		}}
-	default:
-		return nil
-	}
-}
-
-// realContext builds a ModeReal cunum context with the given fusion,
-// executor, sharding, drain-scheduler, kernel-backend, and feedback
-// settings.
-func realContext(procs int, fused bool, policy legion.ExecPolicy, shards, ranks int, barrier, interp, nofb bool) *cunum.Context {
-	cfg := core.DefaultConfig(procs)
-	cfg.Mode = legion.ModeReal
-	cfg.Machine = machine.DefaultA100(procs)
-	cfg.Enabled = fused
-	cfg.Exec = policy
-	cfg.Shards = shards
-	cfg.Ranks = ranks
-	if barrier {
-		cfg.Wavefront = legion.WavefrontOff
-	}
-	if interp {
-		cfg.Codegen = legion.CodegenOff
-	}
-	if nofb {
-		cfg.Feedback = legion.FeedbackOff
-	}
-	return cunum.NewContext(core.New(cfg))
-}
-
-// measureCase runs one configuration on a fresh context and returns
-// wall-clock ns/iter plus the task accounting of the timed window.
-func measureCase(c realCase, procs int, fused bool, policy legion.ExecPolicy) (nsPerIter, tasksPerIter, fusionRatio float64) {
-	ctx := realContext(procs, fused, policy, c.shards, c.ranks, c.barrier, c.interp, c.nofb)
+// measureCase runs the case at one fusion setting on a fresh context.
+func measureCase(c realCase, procs int, fused bool) realSample {
+	ctx := cunum.NewContext(core.New(c.config(procs, fused)))
 	defer func() {
 		// Distributed rows launch rank subprocesses; a failed shutdown is a
 		// failed measurement, not a skippable cleanup.
@@ -447,30 +458,72 @@ func measureCase(c realCase, procs int, fused bool, policy legion.ExecPolicy) (n
 			panic(fmt.Sprintf("bench: closing %s/%s at ranks=%d: %v", c.app, c.size, c.ranks, err))
 		}
 	}()
-	inst := c.make(ctx, c.n, c.dtype)
-	inst.Iterate(c.warmup) // window growth, JIT, memo saturation
-	ctx.Flush()
-	ctx.Runtime().Legion().DrainShardGroup()
+	app := c.make(ctx, c.n, c.dtype)
+	app.window(c.warmup) // window growth, JIT, memo saturation
 	rt := ctx.Runtime()
 	leg := rt.Legion()
 	s0 := rt.Stats()
 	e0 := leg.ExecutedTasks
-	t0 := time.Now()
-	inst.Iterate(c.iters)
-	ctx.Flush()
-	ctx.Runtime().Legion().DrainShardGroup()
-	dt := time.Since(t0)
+	dt := app.window(c.iters)
 	s1 := rt.Stats()
-	nsPerIter = float64(dt.Nanoseconds()) / float64(c.iters)
-	tasksPerIter = float64(leg.ExecutedTasks-e0) / float64(c.iters)
-	if sub := s1.Submitted - s0.Submitted; sub > 0 {
-		fusionRatio = float64(s1.FusedOriginals-s0.FusedOriginals) / float64(sub)
+	s := realSample{
+		ns:    float64(dt.Nanoseconds()) / float64(c.iters),
+		tasks: float64(leg.ExecutedTasks-e0) / float64(c.iters),
 	}
-	return nsPerIter, tasksPerIter, fusionRatio
+	if sub := s1.Submitted - s0.Submitted; sub > 0 {
+		s.fusion = float64(s1.FusedOriginals-s0.FusedOriginals) / float64(sub)
+	}
+	return s
 }
 
-// RunRealSuite measures every case of the preset under both executors and
-// both fusion settings, streaming a progress table to w.
+// measure returns the case's rows, baseline ratios not yet filled in. An
+// engine case yields a fused and an unfused row, measured interleaved
+// within every rep and alternating which runs first, so drift on a shared
+// machine hits both sides. Each row keeps its median rep, and
+// fusion_speedup is the median of the per-rep unfused/fused ratios: on a
+// noisy host a window's time is bimodal (a run now and then lands far
+// below the rest), and a minimum swings with whether one landed. A serve
+// case yields one row: the server's fusion setting is not a tenant's
+// choice.
+func (c realCase) measure(procs int) ([]RealResult, error) {
+	if c.tenants > 0 {
+		p, err := bestServePoint(c.tenants, c.iters, c.req, procs)
+		if err != nil {
+			return nil, err
+		}
+		r := c.result(procs, true)
+		r.NsPerIter, r.StreamsPerSec = p.NsPerStream, p.StreamsPerSec
+		r.ServePlanCacheHits, r.ServePlanCacheMisses = p.PlanHits, p.PlanMisses
+		return []RealResult{r}, nil
+	}
+	var fused, unfused []realSample
+	for rep := 0; rep < c.reps; rep++ {
+		for _, f := range [2]bool{rep%2 == 0, rep%2 != 0} {
+			runtime.GC()
+			if s := measureCase(c, procs, f); f {
+				fused = append(fused, s)
+			} else {
+				unfused = append(unfused, s)
+			}
+		}
+	}
+	ratios := make([]float64, c.reps)
+	for i := range ratios {
+		ratios[i] = unfused[i].ns / fused[i].ns
+	}
+	slices.Sort(ratios)
+	rows := []RealResult{c.result(procs, true), c.result(procs, false)}
+	for i, ss := range [][]realSample{fused, unfused} {
+		slices.SortFunc(ss, func(a, b realSample) int { return cmp.Compare(a.ns, b.ns) })
+		s := ss[(len(ss)-1)/2]
+		rows[i].NsPerIter, rows[i].TasksPerIter, rows[i].FusionRatio = s.ns, s.tasks, s.fusion
+	}
+	rows[0].FusionSpeedup = ratios[(len(ratios)-1)/2]
+	return rows, nil
+}
+
+// RunRealSuite measures every case of the preset, streaming a progress
+// table to w.
 func RunRealSuite(preset string, procs int, w io.Writer) (*RealSuite, error) {
 	cases := realCases(preset)
 	if cases == nil {
@@ -482,176 +535,45 @@ func RunRealSuite(preset string, procs int, w io.Writer) (*RealSuite, error) {
 		Procs:   procs,
 		Preset:  preset,
 	}
-	fmt.Fprintf(w, "== real-mode executor suite (preset %s, %d-point launches, GOMAXPROCS=%d) ==\n",
+	fmt.Fprintf(w, "== real-mode suite (preset %s, %d-point launches, GOMAXPROCS=%d) ==\n",
 		preset, procs, runtime.GOMAXPROCS(0))
-	fmt.Fprintf(w, "%-14s %-7s %6s %-5s %3s %3s %3s %3s %3s %6s %14s %14s %8s %8s %8s %8s %8s %9s %8s %10s %7s\n",
-		"App", "Size", "N", "DType", "Sh", "Rk", "WF", "CG", "FB", "Fused", "Chunked(ns)", "PerPoint(ns)", "Speedup", "vs f64", "vs 1sh", "vs barr", "vs 1rk", "vs interp", "vs stat", "Tasks/Iter", "Fusion")
-	// chunked ns/iter of the f64 rows, keyed for the f32-vs-f64 ratio; of
-	// the shards=1 rows, keyed for the shards-vs-1 ratio; of the
-	// stage-barrier twins, keyed for the wavefront-vs-barrier ratio; of
-	// the interpreter twins, keyed for the codegen-vs-interp ratio; and of
-	// the static-schedule twins, keyed for the feedback-vs-static ratio.
-	f64Chunked := map[string]float64{}
-	unshardedChunked := map[string]float64{}
-	barrierChunked := map[string]float64{}
-	interpChunked := map[string]float64{}
-	staticChunked := map[string]float64{}
+	fmt.Fprintf(w, "%-14s %-7s %6s %-5s %3s %3s %3s %-8s %6s %14s %8s %8s %10s %7s\n",
+		"App", "Size", "N", "DType", "Sh", "Rk", "Tn", "Variant", "Fused", "ns/iter", "vs unf", "vs base", "Tasks/Iter", "Fusion")
+	nsByID := map[rowID]float64{}
 	for _, c := range cases {
-		for _, fused := range []bool{true, false} {
-			var chunkNs, ppNs, tasks, ratio float64
-			// The per-point column is always the *unsharded, in-process*
-			// v1 baseline: under sharding both policies would route
-			// through the shard scheduler, so measuring ExecPerPoint at
-			// shards>1 would just re-measure the chunked path (and a
-			// distributed per-point run would re-measure the rank drain).
-			// On sharded and distributed rows "speedup" is therefore the
-			// whole stack against the v1 executor.
-			cPP := c
-			cPP.shards = 0
-			cPP.ranks = 0
-			for rep := 0; rep < c.reps; rep++ {
-				// Alternate executors within each rep so drift on shared
-				// machines hits both sides; keep the per-executor minimum.
-				runtime.GC()
-				cNs, tpi, fr := measureCase(c, procs, fused, legion.ExecChunked)
-				runtime.GC()
-				pNs, _, _ := measureCase(cPP, procs, fused, legion.ExecPerPoint)
-				if rep == 0 || cNs < chunkNs {
-					chunkNs = cNs
-				}
-				if rep == 0 || pNs < ppNs {
-					ppNs = pNs
-				}
-				tasks, ratio = tpi, fr
-			}
-			shards := c.shards
-			if c.ranks > 1 {
-				shards = c.ranks // core forces Shards = Ranks
-			}
-			if shards < 1 {
-				shards = 1
-			}
-			res := RealResult{
-				App: c.app, Size: c.size, N: c.n, Procs: procs,
-				Shards:    shards,
-				Ranks:     c.ranks,
-				Wavefront: !c.barrier,
-				Codegen:   !c.interp,
-				Feedback:  !c.nofb,
-				DType:     c.dtype.String(), Fused: fused,
-				Iters:            c.iters,
-				ChunkedNsPerIter: chunkNs, PerPointNsPerIter: ppNs,
-				Speedup:      ppNs / chunkNs,
-				TasksPerIter: tasks, FusionRatio: ratio,
-			}
-			// Ratio-twin keys carry the rank count so distributed rows
-			// never pose as the in-process twin of a later row, and the
-			// kernel backend so interpreter twins only ever pair with
-			// interpreter rows.
-			pairKey := fmt.Sprintf("%s/%s/%d/%d/%v/%v", c.app, c.size, shards, c.ranks, fused, c.interp)
-			vsF64 := ""
-			switch c.dtype {
-			case cunum.F64:
-				f64Chunked[pairKey] = chunkNs
-			case cunum.F32:
-				// The f64 twin runs earlier in the case list; the ratio is
-				// its chunked time over ours.
-				if base, ok := f64Chunked[pairKey]; ok && chunkNs > 0 {
-					res.F32SpeedupVsF64 = base / chunkNs
-					vsF64 = fmt.Sprintf("%6.2fx", res.F32SpeedupVsF64)
-				}
-			}
-			shardKey := fmt.Sprintf("%s/%s/%s/%v/%v", c.app, c.size, c.dtype, fused, c.interp)
-			vsUnsharded, vsRank1 := "", ""
-			switch {
-			case c.ranks > 1:
-				// The in-process unsharded row *is* the ranks=1
-				// configuration (Ranks <= 1 launches no processes), so it
-				// doubles as the distributed rows' baseline.
-				if base, ok := unshardedChunked[shardKey]; ok && chunkNs > 0 {
-					res.RankSpeedupVs1 = base / chunkNs
-					vsRank1 = fmt.Sprintf("%6.2fx", res.RankSpeedupVs1)
-				}
-			case shards == 1:
-				unshardedChunked[shardKey] = chunkNs
-			default:
-				if base, ok := unshardedChunked[shardKey]; ok && chunkNs > 0 {
-					// The shards=1 twin runs earlier in the case list.
-					res.ShardSpeedupVs1 = base / chunkNs
-					vsUnsharded = fmt.Sprintf("%6.2fx", res.ShardSpeedupVs1)
-				}
-			}
-			wfKey := fmt.Sprintf("%s/%s/%d/%s/%d/%d/%v/%v", c.app, c.size, c.n, c.dtype, shards, c.ranks, fused, c.interp)
-			vsBarrier := ""
-			if c.barrier {
-				barrierChunked[wfKey] = chunkNs
-			} else if base, ok := barrierChunked[wfKey]; ok && chunkNs > 0 {
-				// The stage-barrier twin runs earlier in the case list.
-				res.WavefrontSpeedupVsBarrier = base / chunkNs
-				vsBarrier = fmt.Sprintf("%6.2fx", res.WavefrontSpeedupVsBarrier)
-			}
-			cgKey := fmt.Sprintf("%s/%s/%d/%s/%d/%d/%v", c.app, c.size, c.n, c.dtype, shards, c.ranks, fused)
-			vsInterp := ""
-			if c.interp {
-				interpChunked[cgKey] = chunkNs
-			} else if base, ok := interpChunked[cgKey]; ok && chunkNs > 0 {
-				// The interpreter twin runs earlier in the case list.
-				res.CodegenSpeedupVsInterp = base / chunkNs
-				vsInterp = fmt.Sprintf("%7.2fx", res.CodegenSpeedupVsInterp)
-			}
-			fbKey := fmt.Sprintf("%s/%s/%d/%s/%d/%d/%v/%v", c.app, c.size, c.n, c.dtype, shards, c.ranks, fused, c.interp)
-			vsStatic := ""
-			if c.nofb {
-				staticChunked[fbKey] = chunkNs
-			} else if base, ok := staticChunked[fbKey]; ok && chunkNs > 0 {
-				// The static-schedule twin runs earlier in the case list.
-				res.FeedbackSpeedupVsStatic = base / chunkNs
-				vsStatic = fmt.Sprintf("%7.2fx", res.FeedbackSpeedupVsStatic)
-			}
-			suite.Results = append(suite.Results, res)
-			fmt.Fprintf(w, "%-14s %-7s %6d %-5s %3d %3d %3v %3s %3s %6v %14.0f %14.0f %7.2fx %8s %8s %8s %8s %9s %8s %10.1f %6.0f%%\n",
-				res.App, res.Size, res.N, res.DType, res.Shards, res.Ranks, boolMark(res.Wavefront), cgMark(res.Codegen), fbMark(res.Feedback), res.Fused, res.ChunkedNsPerIter,
-				res.PerPointNsPerIter, res.Speedup, vsF64, vsUnsharded, vsBarrier, vsRank1, vsInterp, vsStatic, res.TasksPerIter, res.FusionRatio*100)
-		}
-	}
-	// Service-mode rows: aggregate streams/sec at each tenant count against
-	// one in-process diffuse-serve front end. These are throughput rows,
-	// not executor comparisons — both ns columns carry ns/stream, the
-	// within-row speedup is definitionally 1, and the cross-row ratio is
-	// serve-speedup-vs-1-tenant (computed within one case, one machine, one
-	// run, like every other gated ratio).
-	for _, sc := range serveCases(preset) {
-		points, err := RunServeBench(sc.tenants, sc.streams, sc.req, procs, w)
+		rows, err := c.measure(procs)
 		if err != nil {
 			return nil, err
 		}
-		var oneTenant float64
-		for _, p := range points {
-			res := RealResult{
-				App: "Serve-Chain", Size: sc.size, N: sc.req.N, Procs: procs,
-				Shards: 1, Wavefront: true, Codegen: true, Feedback: true,
-				DType: "f64", Fused: true,
-				Iters: sc.streams, Tenants: p.Tenants,
-				ChunkedNsPerIter: p.NsPerStream, PerPointNsPerIter: p.NsPerStream,
-				Speedup:              1,
-				StreamsPerSec:        p.StreamsPerSec,
-				ServePlanCacheHits:   p.PlanHits,
-				ServePlanCacheMisses: p.PlanMisses,
+		for _, r := range rows {
+			if r.Baseline != "" {
+				base, ok := nsByID[rowID{r.Baseline, r.Fused}]
+				if !ok {
+					return nil, fmt.Errorf("bench: baseline %q of %s is not an earlier row", r.Baseline, r.key())
+				}
+				r.SpeedupVsBaseline = base / r.NsPerIter
 			}
-			if p.Tenants == 1 {
-				oneTenant = p.StreamsPerSec
-			} else if oneTenant > 0 {
-				res.ServeSpeedupVs1Tenant = p.StreamsPerSec / oneTenant
-			}
-			suite.Results = append(suite.Results, res)
+			nsByID[r.id()] = r.NsPerIter
+			suite.Results = append(suite.Results, r)
+			fmt.Fprintf(w, "%-14s %-7s %6d %-5s %3d %3d %3d %-8s %6v %14.0f %8s %8s %10.1f %6.0f%%\n",
+				r.App, r.Size, r.N, r.DType, r.Shards, r.Ranks, r.Tenants, r.Variant, r.Fused, r.NsPerIter,
+				ratioMark(r.FusionSpeedup), ratioMark(r.SpeedupVsBaseline), r.TasksPerIter, r.FusionRatio*100)
 		}
 	}
-	// Satellite of the measurement contract: gomaxprocs records the value
-	// in effect *while* measuring, so a harness that adjusts parallelism
-	// after building the suite header can never stamp a stale count into
-	// the committed trajectory (the -compare gate keys on this field).
+	// gomaxprocs records the value in effect *while* measuring, so a
+	// harness that adjusts parallelism after building the suite header can
+	// never stamp a stale count into the committed trajectory (the
+	// -compare gate keys on this field).
 	suite.GoMaxProcs = runtime.GOMAXPROCS(0)
 	return suite, nil
+}
+
+// ratioMark renders an optional ratio for the progress table.
+func ratioMark(r float64) string {
+	if r == 0 {
+		return ""
+	}
+	return fmt.Sprintf("%.2fx", r)
 }
 
 // MarshalRealSuite renders the suite as the committed JSON document.
@@ -663,47 +585,18 @@ func MarshalRealSuite(s *RealSuite) ([]byte, error) {
 	return append(data, '\n'), nil
 }
 
-// boolMark renders a compact scheduler marker for the progress table.
-func boolMark(b bool) string {
-	if b {
-		return "wf"
-	}
-	return "--"
-}
-
-// cgMark renders a compact kernel-backend marker for the progress table.
-func cgMark(b bool) string {
-	if b {
-		return "cg"
-	}
-	return "--"
-}
-
-// fbMark renders a compact feedback-mode marker for the progress table.
-func fbMark(b bool) string {
-	if b {
-		return "fb"
-	}
-	return "--"
-}
-
-// realResultKeys are the per-row fields the schema gate requires
-// ("f32_speedup_vs_f64", "shard_speedup_vs_1", "rank_speedup_vs_1",
-// "wavefront_speedup_vs_barrier", "codegen_speedup_vs_interp",
-// "feedback_speedup_vs_static", and the serve fields are optional: they
-// only appear on f32, shards>1, ranks>0, barrier-twinned wavefront,
-// interpreter-twinned codegen, static-twinned feedback, and tenants>0
-// rows respectively).
+// realResultKeys are the per-row fields the schema gate requires; the
+// ratio, baseline, and serve fields are optional.
 var realResultKeys = []string{
-	"app", "size", "n", "procs", "shards", "ranks", "wavefront", "codegen",
-	"feedback", "dtype", "fused", "iters", "tenants", "chunked_ns_per_iter",
-	"perpoint_ns_per_iter", "speedup", "tasks_per_iter", "fusion_ratio",
+	"app", "size", "n", "procs", "shards", "ranks", "tenants", "variant",
+	"dtype", "fused", "iters", "ns_per_iter", "tasks_per_iter", "fusion_ratio",
 }
 
 // ValidateRealSuite checks a BENCH_real.json payload against the current
 // schema: exact field set (unknown or missing keys fail), matching schema
-// version, and physically sensible measurements. The CI smoke job runs it
-// against both a freshly generated file and the committed one.
+// version, physically sensible measurements, and baselines that name
+// earlier rows. The CI smoke job runs it against both a freshly generated
+// file and the committed one.
 func ValidateRealSuite(data []byte) error {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
@@ -731,34 +624,26 @@ func ValidateRealSuite(data []byte) error {
 			}
 		}
 	}
+	earlier := map[rowID]bool{}
 	for i, r := range s.Results {
 		if r.App == "" || r.Size == "" || r.Iters <= 0 || r.Procs <= 0 {
 			return fmt.Errorf("bench: result %d has empty identity fields", i)
 		}
-		if r.Shards < 1 {
-			return fmt.Errorf("bench: result %d has shard count %d, want >= 1", i, r.Shards)
+		if r.Shards < 1 || r.Ranks < 0 || r.Tenants < 0 {
+			return fmt.Errorf("bench: result %d has shards=%d ranks=%d tenants=%d, want shards >= 1 and the others >= 0", i, r.Shards, r.Ranks, r.Tenants)
 		}
-		if r.Ranks < 0 {
-			return fmt.Errorf("bench: result %d has rank count %d, want >= 0", i, r.Ranks)
-		}
-		if r.Ranks > 1 && (r.Shards != r.Ranks || !r.Wavefront) {
-			return fmt.Errorf("bench: result %d ran at ranks=%d but shards=%d wavefront=%v (distribution forces shards = ranks on the wavefront drain)",
-				i, r.Ranks, r.Shards, r.Wavefront)
-		}
-		if !r.Wavefront && r.Shards <= 1 {
-			return fmt.Errorf("bench: result %d is a stage-barrier row without sharding (the scheduler only differs at shards > 1)", i)
-		}
-		if r.CodegenSpeedupVsInterp != 0 && !r.Codegen {
-			return fmt.Errorf("bench: result %d is an interpreter row carrying a codegen-vs-interp ratio (only codegen rows are measured against a twin)", i)
-		}
-		if r.FeedbackSpeedupVsStatic != 0 && !r.Feedback {
-			return fmt.Errorf("bench: result %d is a static-schedule row carrying a feedback-vs-static ratio (only feedback rows are measured against a twin)", i)
+		if _, ok := realVariants[r.Variant]; !ok {
+			return fmt.Errorf("bench: result %d has unknown variant %q", i, r.Variant)
 		}
 		if r.DType != "f64" && r.DType != "f32" {
 			return fmt.Errorf("bench: result %d has unknown dtype %q", i, r.DType)
 		}
-		if r.Tenants < 0 {
-			return fmt.Errorf("bench: result %d has tenant count %d, want >= 0", i, r.Tenants)
+		if r.Ranks > 1 && (r.Shards != r.Ranks || r.Variant == "barrier") {
+			return fmt.Errorf("bench: result %d ran at ranks=%d but shards=%d variant=%s (distribution forces shards = ranks on the wavefront drain)",
+				i, r.Ranks, r.Shards, r.Variant)
+		}
+		if r.Variant == "barrier" && r.Shards <= 1 {
+			return fmt.Errorf("bench: result %d is a stage-barrier row without sharding (the scheduler only differs at shards > 1)", i)
 		}
 		if r.Tenants > 0 {
 			if r.StreamsPerSec <= 0 {
@@ -767,15 +652,19 @@ func ValidateRealSuite(data []byte) error {
 			if r.ServePlanCacheHits <= 0 {
 				return fmt.Errorf("bench: result %d is a serve row with no shared-plan-cache hits (identical streams must share compiled plans)", i)
 			}
-		} else if r.StreamsPerSec != 0 || r.ServePlanCacheHits != 0 || r.ServePlanCacheMisses != 0 || r.ServeSpeedupVs1Tenant != 0 {
+		} else if r.StreamsPerSec != 0 || r.ServePlanCacheHits != 0 || r.ServePlanCacheMisses != 0 {
 			return fmt.Errorf("bench: result %d is not a serve row but carries serve metrics", i)
 		}
-		if r.ServeSpeedupVs1Tenant != 0 && r.Tenants <= 1 {
-			return fmt.Errorf("bench: result %d carries a serve-vs-1-tenant ratio at tenants=%d (only multi-tenant rows are measured against the 1-tenant twin)", i, r.Tenants)
-		}
-		if r.ChunkedNsPerIter <= 0 || r.PerPointNsPerIter <= 0 || r.Speedup <= 0 {
+		if r.NsPerIter <= 0 || r.FusionSpeedup < 0 || r.SpeedupVsBaseline < 0 {
 			return fmt.Errorf("bench: result %d has non-positive measurements", i)
 		}
+		if (r.Baseline == "") != (r.SpeedupVsBaseline == 0) {
+			return fmt.Errorf("bench: result %d has baseline %q but speedup_vs_baseline %v (a ratio needs a baseline and a baseline a ratio)", i, r.Baseline, r.SpeedupVsBaseline)
+		}
+		if r.Baseline != "" && !earlier[rowID{r.Baseline, r.Fused}] {
+			return fmt.Errorf("bench: result %d names baseline %q, which is not an earlier row with fused=%v", i, r.Baseline, r.Fused)
+		}
+		earlier[r.id()] = true
 	}
 	return nil
 }

@@ -37,8 +37,8 @@ type Config struct {
 	Machine machine.Config
 	// Exec selects the real-mode executor: the persistent chunked worker
 	// pool (legion.ExecChunked, the zero value) or the per-point-goroutine
-	// baseline (legion.ExecPerPoint) that the benchmark suite measures
-	// against. Ignored in ModeSim.
+	// v1 executor (legion.ExecPerPoint), kept as the chunked executor's
+	// bit-identity oracle. Ignored in ModeSim.
 	Exec legion.ExecPolicy
 	// Shards enables sharded execution (ModeReal): stores are decomposed
 	// into this many leading-axis blocks, and the runtime buffers

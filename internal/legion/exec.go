@@ -19,10 +19,9 @@ func (rt *Runtime) executeReal(t *ir.Task) {
 	rt.executeChunked(t)
 }
 
-// executePerPoint is the v1 executor, kept as the measured baseline: one
-// goroutine per point task behind a semaphore, with bindings resolved
-// afresh at every point. BENCH_real.json records the chunked executor's
-// speedup over this path.
+// executePerPoint is the v1 executor, kept as the chunked executor's
+// bit-identity oracle: one goroutine per point task behind a semaphore,
+// with bindings resolved afresh at every point.
 func (rt *Runtime) executePerPoint(t *ir.Task) {
 	if t.Kernel == nil {
 		panic(fmt.Sprintf("legion: task %s has no kernel", t.Name))

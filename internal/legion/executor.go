@@ -39,8 +39,8 @@ const (
 	// stealing, running sub-dispatch-cost tasks inline.
 	ExecChunked ExecPolicy = iota
 	// ExecPerPoint reproduces the v1 executor — one goroutine per point
-	// task behind a semaphore — and exists as the measured baseline of
-	// the real-mode benchmark suite (BENCH_real.json).
+	// task behind a semaphore — and exists as the chunked executor's
+	// bit-identity oracle.
 	ExecPerPoint
 )
 
@@ -942,7 +942,8 @@ func (e *executor) runShards(nshards int, fn func(ws *workerState, shard int)) {
 
 // SetExecPolicy selects the real-mode executor implementation. It must be
 // called before any task executes and is not safe to change mid-stream;
-// the per-point policy exists as the benchmark baseline.
+// the per-point policy exists as the chunked executor's bit-identity
+// oracle.
 func (rt *Runtime) SetExecPolicy(p ExecPolicy) { rt.policy = p }
 
 // ExecPolicyOf returns the active executor policy.

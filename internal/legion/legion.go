@@ -15,7 +15,7 @@
 //     per-point partial cells folded in point order at the barrier, so
 //     results are bit-identical under any scheduling. The v1 executor —
 //     one goroutine per point task — survives as ExecPerPoint, the
-//     measured baseline of BENCH_real.json.
+//     chunked executor's bit-identity oracle.
 //   - simulated (ModeSim): no data is allocated; the task stream drives
 //     the machine cost model (internal/machine) so weak-scaling studies up
 //     to 128 simulated GPUs run on a laptop.

@@ -49,8 +49,8 @@ const (
 )
 
 // TestCompareRealSuites drives the generic gate: fusion_speedup at tol,
-// speedup_vs_baseline at 2·tol, both tripled on multi-process and
-// multi-tenant rows (capped at a 90% floor), unmatched rows skipped, and
+// speedup_vs_baseline at 2·tol, both at 3·tol on multi-process and
+// multi-tenant rows (the factors do not compound), unmatched rows skipped, and
 // harness mismatches reported as errors. The tolerance is 0.25.
 func TestCompareRealSuites(t *testing.T) {
 	cases := []struct {
@@ -69,10 +69,10 @@ func TestCompareRealSuites(t *testing.T) {
 			want: 1, wantOut: "REGRESSION A/tiny/shards=4/fused=true: speedup_vs_baseline"},
 		{name: "ranks row within-case floor tripled", edit: func(s *RealSuite) { s.Results[gateRanks].FusionSpeedup = 0.6 }},
 		{name: "ranks row within-case floor breaks", edit: func(s *RealSuite) { s.Results[gateRanks].FusionSpeedup = 0.4 }, want: 1},
-		{name: "ranks row cross-row floor capped", edit: func(s *RealSuite) { s.Results[gateRanks].SpeedupVsBaseline = 0.15 }},
-		{name: "ranks row cross-row floor breaks", edit: func(s *RealSuite) { s.Results[gateRanks].SpeedupVsBaseline = 0.05 }, want: 1},
-		{name: "tenants row cross-row floor tripled", edit: func(s *RealSuite) { s.Results[gateServe4].SpeedupVsBaseline = 0.3 }},
-		{name: "tenants row cross-row floor breaks", edit: func(s *RealSuite) { s.Results[gateServe4].SpeedupVsBaseline = 0.1 },
+		{name: "ranks row cross-row floor tripled", edit: func(s *RealSuite) { s.Results[gateRanks].SpeedupVsBaseline = 0.3 }},
+		{name: "ranks row cross-row floor does not compound", edit: func(s *RealSuite) { s.Results[gateRanks].SpeedupVsBaseline = 0.15 }, want: 1},
+		{name: "tenants row cross-row floor tripled", edit: func(s *RealSuite) { s.Results[gateServe4].SpeedupVsBaseline = 0.6 }},
+		{name: "tenants row cross-row floor does not compound", edit: func(s *RealSuite) { s.Results[gateServe4].SpeedupVsBaseline = 0.3 },
 			want: 1, wantOut: "REGRESSION S/tiny/tenants=4/fused=true"},
 		{name: "unmatched row skipped", edit: func(s *RealSuite) {
 			extra := s.Results[gatePlain]

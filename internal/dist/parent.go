@@ -13,6 +13,7 @@ import (
 	"diffuse/internal/ir"
 	"diffuse/internal/kir"
 	"diffuse/internal/legion"
+	"diffuse/internal/wire"
 )
 
 // Parent is the parent-side handle of a distributed runtime: the rank
@@ -150,9 +151,9 @@ func Launch(ranks int, transport string, extraEnv ...string) (*Parent, error) {
 			cleanup()
 			return nil, fmt.Errorf("dist: bad hello from rank connection (tag %d): %v", tag, err)
 		}
-		r64, _, err := readI64(body)
-		r := int(r64)
-		if err != nil || r < 0 || r >= ranks || p.conns[r] != nil {
+		hr := wire.NewReader(body)
+		r := int(hr.I64())
+		if hr.Err() != nil || r < 0 || r >= ranks || p.conns[r] != nil {
 			conn.Close()
 			p.kill()
 			cleanup()
@@ -310,7 +311,7 @@ func (p *Parent) ensureKernel(k *kir.Kernel) int64 {
 	}
 	ref := p.nextKernel
 	p.nextKernel++
-	p.broadcast(msgKernel, append(appendI64(nil, ref), kir.EncodeKernel(k)...))
+	p.broadcast(msgKernel, append(encodeI64(ref), kir.EncodeKernel(k)...))
 	p.kernelRefs[k] = ref
 	return ref
 }
@@ -334,25 +335,25 @@ func (p *Parent) Execute(t *ir.Task) {
 // ReadAt implements legion.RemoteBackend.
 func (p *Parent) ReadAt(s *ir.Store, off int) (float64, bool) {
 	p.ensureStore(s)
-	p.broadcast(msgReadAt, append(appendI64(nil, int64(s.ID())), appendI64(nil, int64(off))...))
-	body := p.reply()
-	if len(body) != 9 {
-		panic(fmt.Errorf("dist: ReadAt reply has %d bytes, want 9", len(body)))
-	}
-	vals, err := bitsToF64s(body[1:])
+	var w wire.Writer
+	w.I64(int64(s.ID()))
+	w.I64(int64(off))
+	p.broadcast(msgReadAt, w.Bytes())
+	v, ok, err := decodeReadAtReply(p.reply())
 	if err != nil {
 		panic(err)
 	}
-	return vals[0], body[0] != 0
+	return v, ok
 }
 
 // ReadAll implements legion.RemoteBackend.
 func (p *Parent) ReadAll(s *ir.Store) []float64 {
 	p.ensureStore(s)
-	p.broadcast(msgReadAll, appendI64(nil, int64(s.ID())))
-	data, err := bitsToF64s(p.reply())
-	if err != nil {
-		panic(err)
+	p.broadcast(msgReadAll, encodeI64(int64(s.ID())))
+	r := wire.NewReader(p.reply())
+	data := r.F64s()
+	if err := r.Err(); err != nil {
+		panic(fmt.Errorf("dist: ReadAll reply: %w", err))
 	}
 	return data
 }
@@ -360,10 +361,11 @@ func (p *Parent) ReadAll(s *ir.Store) []float64 {
 // ReadAll32 implements legion.RemoteBackend.
 func (p *Parent) ReadAll32(s *ir.Store) []float32 {
 	p.ensureStore(s)
-	p.broadcast(msgReadAll32, appendI64(nil, int64(s.ID())))
-	data, err := bitsToF32s(p.reply())
-	if err != nil {
-		panic(err)
+	p.broadcast(msgReadAll32, encodeI64(int64(s.ID())))
+	r := wire.NewReader(p.reply())
+	data := r.F32s()
+	if err := r.Err(); err != nil {
+		panic(fmt.Errorf("dist: ReadAll32 reply: %w", err))
 	}
 	return data
 }
@@ -371,13 +373,13 @@ func (p *Parent) ReadAll32(s *ir.Store) []float32 {
 // WriteAll implements legion.RemoteBackend.
 func (p *Parent) WriteAll(s *ir.Store, data []float64) {
 	p.ensureStore(s)
-	p.broadcast(msgWriteAll, encodeF64s(s.ID(), data))
+	p.broadcast(msgWriteAll, encodeWriteAll(s.ID(), data))
 }
 
 // WriteAll32 implements legion.RemoteBackend.
 func (p *Parent) WriteAll32(s *ir.Store, data []float32) {
 	p.ensureStore(s)
-	p.broadcast(msgWriteAll32, encodeF32s(s.ID(), data))
+	p.broadcast(msgWriteAll32, encodeWriteAll32(s.ID(), data))
 }
 
 // FreeStore implements legion.RemoteBackend.
@@ -386,7 +388,7 @@ func (p *Parent) FreeStore(id ir.StoreID) {
 		// The store never reached the ranks; nothing to free there.
 		return
 	}
-	p.broadcast(msgFree, appendI64(nil, int64(id)))
+	p.broadcast(msgFree, encodeI64(int64(id)))
 	delete(p.sentStores, id)
 }
 

@@ -1,19 +1,22 @@
 // Package dist is the multi-process distributed runtime: a parent process
 // launches one rank subprocess per shard (the same binary, re-entered
 // through MaybeRankMain) and control-replicates its post-fusion task
-// stream to every rank over unix-domain sockets. Each rank decodes the
-// identical stream, re-derives the identical sharded schedule through the
-// unchanged legion layer, executes the shard it owns, and exchanges
+// stream to every rank over unix-domain or TCP sockets. Each rank decodes
+// the identical stream, re-derives the identical sharded schedule through
+// the unchanged legion layer, executes the shard it owns, and exchanges
 // boundary spans with its peers (legion/dist.go). The parent owns no
 // array data: host reads gather from rank 0, host writes broadcast.
 //
-// The package has four parts:
+// The package has five parts:
 //
 //   - proto.go (this file): the framed message protocol shared by the
-//     parent control stream and the rank-to-rank peer links;
+//     parent control stream and the rank-to-rank peer links, and the
+//     control-message bodies (encoded with internal/wire, the codec of
+//     every byte past the frame header);
 //   - parent.go: process launch, child reaping, and the
 //     legion.RemoteBackend that forwards the parent's execution surface;
 //   - rank.go: the rank process entry point and its control loop;
+//   - provider.go: the unix and tcp address, listen and dial providers;
 //   - transport.go: the peer mesh and its tagged mailboxes — the
 //     legion.HaloTransport the distributed drain moves bytes through.
 package dist
@@ -22,9 +25,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 
 	"diffuse/internal/ir"
+	"diffuse/internal/wire"
 )
 
 // Environment variables of the rank re-entry protocol. The parent sets
@@ -94,39 +97,27 @@ const (
 // fast instead of attempting an absurd allocation.
 const maxFrame = 1 << 30
 
-// writeFrame sends one framed message: 8-byte tag, 4-byte payload length,
-// payload, all little-endian.
+// writeFrame sends one framed message (see appendFrame) in one write.
 func writeFrame(w io.Writer, tag uint64, payload []byte) error {
-	if len(payload) > maxFrame {
-		return fmt.Errorf("dist: frame payload %d bytes exceeds limit", len(payload))
-	}
-	var hdr [12]byte
-	binary.LittleEndian.PutUint64(hdr[0:], tag)
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
+	buf, err := appendFrame(nil, tag, payload)
+	if err != nil {
 		return err
 	}
-	if len(payload) > 0 {
-		if _, err := w.Write(payload); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err = w.Write(buf)
+	return err
 }
 
-// appendFrame appends one framed message (header plus payload) to buf and
-// returns the extended slice — the buffer-reusing variant of writeFrame
-// for hot send paths: the caller keeps the returned slice and hands the
-// whole frame to one conn.Write, so a steady-state send costs zero
-// allocations and one syscall instead of two.
+// appendFrame appends one framed message to buf and returns the extended
+// slice: 8-byte tag, 4-byte payload length, payload, all little-endian.
+// Hot send paths keep the returned slice and hand the whole frame to one
+// conn.Write, so a steady-state send costs zero allocations and one
+// syscall.
 func appendFrame(buf []byte, tag uint64, payload []byte) ([]byte, error) {
 	if len(payload) > maxFrame {
 		return buf, fmt.Errorf("dist: frame payload %d bytes exceeds limit", len(payload))
 	}
-	var hdr [12]byte
-	binary.LittleEndian.PutUint64(hdr[0:], tag)
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(len(payload)))
-	buf = append(buf, hdr[:]...)
+	buf = binary.LittleEndian.AppendUint64(buf, tag)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
 	return append(buf, payload...), nil
 }
 
@@ -150,146 +141,86 @@ func readFrame(r io.Reader) (tag uint64, payload []byte, err error) {
 	return tag, payload, nil
 }
 
-// Body codecs of the control messages. These are deliberately tiny —
-// everything interesting (tasks, kernels) travels in the versioned ir/kir
-// wire formats; control bodies are fixed little-endian layouts.
+// Body codecs of the control messages. Everything interesting (tasks,
+// kernels) travels in the versioned ir/kir wire formats; control bodies
+// are fixed layouts in the internal/wire field encoding.
 
-func appendI64(b []byte, v int64) []byte { return binary.LittleEndian.AppendUint64(b, uint64(v)) }
-
-func readI64(b []byte) (int64, []byte, error) {
-	if len(b) < 8 {
-		return 0, nil, fmt.Errorf("dist: control body truncated (need 8 bytes, have %d)", len(b))
-	}
-	return int64(binary.LittleEndian.Uint64(b)), b[8:], nil
+// encodeI64 is the body of every message that carries one integer: a
+// hello's rank id, a store id.
+func encodeI64(v int64) []byte {
+	var w wire.Writer
+	w.I64(v)
+	return w.Bytes()
 }
 
 func encodeStoreNew(s *ir.Store) []byte {
-	b := appendI64(nil, int64(s.ID()))
-	b = append(b, byte(s.DType()))
-	b = appendI64(b, int64(len(s.Name())))
-	b = append(b, s.Name()...)
-	b = appendI64(b, int64(s.Rank()))
-	for _, e := range s.Shape() {
-		b = appendI64(b, int64(e))
-	}
-	return b
+	var w wire.Writer
+	w.I64(int64(s.ID()))
+	w.U8(uint8(s.DType()))
+	w.Str(s.Name())
+	w.Ints(s.Shape())
+	return w.Bytes()
 }
 
 func decodeStoreNew(b []byte) (*ir.Store, error) {
-	id, b, err := readI64(b)
-	if err != nil {
-		return nil, err
+	r := wire.NewReader(b)
+	id := ir.StoreID(r.I64())
+	dt := ir.DType(r.U8())
+	name := r.Str()
+	shape := r.Ints()
+	if err := r.End(); err != nil {
+		return nil, fmt.Errorf("dist: StoreNew body: %w", err)
 	}
-	if len(b) < 1 {
-		return nil, fmt.Errorf("dist: StoreNew body truncated")
-	}
-	dt := ir.DType(b[0])
-	b = b[1:]
-	nameLen, b, err := readI64(b)
-	if err != nil {
-		return nil, err
-	}
-	if nameLen < 0 || int64(len(b)) < nameLen {
-		return nil, fmt.Errorf("dist: StoreNew name length %d out of range", nameLen)
-	}
-	name := string(b[:nameLen])
-	b = b[nameLen:]
-	rank, b, err := readI64(b)
-	if err != nil {
-		return nil, err
-	}
-	if rank < 0 || int64(len(b)) != rank*8 {
-		return nil, fmt.Errorf("dist: StoreNew shape rank %d does not match body", rank)
-	}
-	shape := make([]int, rank)
-	for i := range shape {
-		var v int64
-		v, b, _ = readI64(b)
-		shape[i] = int(v)
-	}
-	return ir.RestoreStore(ir.StoreID(id), name, shape, dt), nil
+	return ir.RestoreStore(id, name, shape, dt), nil
 }
 
-func encodeF64s(id ir.StoreID, data []float64) []byte {
-	b := appendI64(nil, int64(id))
-	for _, v := range data {
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
-	}
-	return b
+// encodeWriteAll is a WriteAll body: store id, then float64 bit patterns
+// to the end of the body.
+func encodeWriteAll(id ir.StoreID, data []float64) []byte {
+	w := wire.NewWriter(make([]byte, 0, 8+8*len(data)))
+	w.I64(int64(id))
+	w.F64s(data)
+	return w.Bytes()
 }
 
-func decodeF64s(b []byte) (ir.StoreID, []float64, error) {
-	id, b, err := readI64(b)
-	if err != nil {
-		return 0, nil, err
-	}
-	if len(b)%8 != 0 {
-		return 0, nil, fmt.Errorf("dist: float64 payload length %d not a multiple of 8", len(b))
-	}
-	data := make([]float64, len(b)/8)
-	for i := range data {
-		data[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:]))
-	}
-	return ir.StoreID(id), data, nil
+func decodeWriteAll(b []byte) (ir.StoreID, []float64, error) {
+	r := wire.NewReader(b)
+	id := ir.StoreID(r.I64())
+	data := r.F64s()
+	return id, data, r.End()
 }
 
-func encodeF32s(id ir.StoreID, data []float32) []byte {
-	b := appendI64(nil, int64(id))
-	for _, v := range data {
-		b = binary.LittleEndian.AppendUint32(b, math.Float32bits(v))
-	}
-	return b
+// encodeWriteAll32 is a WriteAll32 body: store id, then float32 bit
+// patterns to the end of the body.
+func encodeWriteAll32(id ir.StoreID, data []float32) []byte {
+	w := wire.NewWriter(make([]byte, 0, 8+4*len(data)))
+	w.I64(int64(id))
+	w.F32s(data)
+	return w.Bytes()
 }
 
-func decodeF32s(b []byte) (ir.StoreID, []float32, error) {
-	id, b, err := readI64(b)
-	if err != nil {
-		return 0, nil, err
-	}
-	if len(b)%4 != 0 {
-		return 0, nil, fmt.Errorf("dist: float32 payload length %d not a multiple of 4", len(b))
-	}
-	data := make([]float32, len(b)/4)
-	for i := range data {
-		data[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[i*4:]))
-	}
-	return ir.StoreID(id), data, nil
+func decodeWriteAll32(b []byte) (ir.StoreID, []float32, error) {
+	r := wire.NewReader(b)
+	id := ir.StoreID(r.I64())
+	data := r.F32s()
+	return id, data, r.End()
 }
 
-func f64sToBits(data []float64) []byte {
-	b := make([]byte, 0, len(data)*8)
-	for _, v := range data {
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
-	}
-	return b
+// encodeReadAtReply is rank 0's answer to a ReadAt: the ok flag, then the
+// value's bit pattern.
+func encodeReadAtReply(v float64, ok bool) []byte {
+	var w wire.Writer
+	w.Bool(ok)
+	w.F64(v)
+	return w.Bytes()
 }
 
-func bitsToF64s(b []byte) ([]float64, error) {
-	if len(b)%8 != 0 {
-		return nil, fmt.Errorf("dist: float64 payload length %d not a multiple of 8", len(b))
+func decodeReadAtReply(b []byte) (float64, bool, error) {
+	r := wire.NewReader(b)
+	ok := r.Bool()
+	v := r.F64()
+	if err := r.End(); err != nil {
+		return 0, false, fmt.Errorf("dist: ReadAt reply: %w", err)
 	}
-	data := make([]float64, len(b)/8)
-	for i := range data {
-		data[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:]))
-	}
-	return data, nil
-}
-
-func f32sToBits(data []float32) []byte {
-	b := make([]byte, 0, len(data)*4)
-	for _, v := range data {
-		b = binary.LittleEndian.AppendUint32(b, math.Float32bits(v))
-	}
-	return b
-}
-
-func bitsToF32s(b []byte) ([]float32, error) {
-	if len(b)%4 != 0 {
-		return nil, fmt.Errorf("dist: float32 payload length %d not a multiple of 4", len(b))
-	}
-	data := make([]float32, len(b)/4)
-	for i := range data {
-		data[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[i*4:]))
-	}
-	return data, nil
+	return v, ok, nil
 }

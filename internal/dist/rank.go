@@ -13,6 +13,7 @@ import (
 	"diffuse/internal/kir"
 	"diffuse/internal/legion"
 	"diffuse/internal/machine"
+	"diffuse/internal/wire"
 )
 
 // MaybeRankMain re-enters the current binary as a rank process when the
@@ -91,7 +92,7 @@ func runRank() (err error) {
 		return fmt.Errorf("connect to parent: %w", err)
 	}
 	defer parent.Close()
-	if err := writeFrame(parent, msgHello, appendI64(nil, int64(me))); err != nil {
+	if err := writeFrame(parent, msgHello, encodeI64(int64(me))); err != nil {
 		return fmt.Errorf("hello to parent: %w", err)
 	}
 
@@ -217,12 +218,13 @@ func (rs *rankState) decodeLoop(parent net.Conn, ops chan<- ctlOp, quit <-chan s
 			rs.stores[s.ID()] = s
 			continue // nothing to execute
 		case msgKernel:
-			ref, rest, err := readI64(body)
-			if err != nil {
+			r := wire.NewReader(body)
+			ref := r.I64()
+			if err := r.Err(); err != nil {
 				op.err = fmt.Errorf("rank %d: kernel message: %w", rs.me, err)
 				break
 			}
-			k, err := kir.DecodeKernel(rest)
+			k, err := kir.DecodeKernel(r.Bytes(r.Remaining()))
 			if err != nil {
 				op.err = fmt.Errorf("rank %d: kernel %d: %w", rs.me, ref, err)
 				break
@@ -236,7 +238,7 @@ func (rs *rankState) decodeLoop(parent net.Conn, ops chan<- ctlOp, quit <-chan s
 			}
 		case msgWriteAll:
 			var id ir.StoreID
-			id, op.f64s, op.err = decodeF64s(body)
+			id, op.f64s, op.err = decodeWriteAll(body)
 			if op.err == nil {
 				op.st, op.err = rs.store(id)
 			}
@@ -245,7 +247,7 @@ func (rs *rankState) decodeLoop(parent net.Conn, ops chan<- ctlOp, quit <-chan s
 			}
 		case msgWriteAll32:
 			var id ir.StoreID
-			id, op.f32s, op.err = decodeF32s(body)
+			id, op.f32s, op.err = decodeWriteAll32(body)
 			if op.err == nil {
 				op.st, op.err = rs.store(id)
 			}
@@ -253,39 +255,38 @@ func (rs *rankState) decodeLoop(parent net.Conn, ops chan<- ctlOp, quit <-chan s
 				op.err = fmt.Errorf("rank %d: WriteAll32: %w", rs.me, op.err)
 			}
 		case msgFree:
-			id, _, err := readI64(body)
-			if err != nil {
+			r := wire.NewReader(body)
+			op.id = ir.StoreID(r.I64())
+			if err := r.Err(); err != nil {
 				op.err = fmt.Errorf("rank %d: Free: %w", rs.me, err)
 				break
 			}
-			op.id = ir.StoreID(id)
 			// The free is safe to apply to the decode table immediately:
 			// control replication guarantees no later message references a
 			// freed store. The runtime-side free happens at execution time.
 			delete(rs.stores, op.id)
 		case msgDrain:
 		case msgReadAll, msgReadAll32:
-			id, _, err := readI64(body)
+			r := wire.NewReader(body)
+			id := ir.StoreID(r.I64())
+			err := r.Err()
 			if err == nil {
-				op.st, err = rs.store(ir.StoreID(id))
+				op.st, err = rs.store(id)
 			}
 			if err != nil {
 				op.err = fmt.Errorf("rank %d: read: %w", rs.me, err)
 			}
 		case msgReadAt:
-			id, rest, err := readI64(body)
-			var off int64
+			r := wire.NewReader(body)
+			id := ir.StoreID(r.I64())
+			op.off = r.I64()
+			err := r.Err()
 			if err == nil {
-				off, _, err = readI64(rest)
-			}
-			if err == nil {
-				op.st, err = rs.store(ir.StoreID(id))
+				op.st, err = rs.store(id)
 			}
 			if err != nil {
 				op.err = fmt.Errorf("rank %d: ReadAt: %w", rs.me, err)
-				break
 			}
-			op.off = off
 		case msgShutdown:
 		default:
 			op.err = fmt.Errorf("rank %d: unknown control message %d", rs.me, tag)
@@ -330,24 +331,21 @@ func (rs *rankState) controlLoop(parent net.Conn) error {
 			rs.rt.DrainShardGroup()
 		case msgReadAll:
 			data := rs.rt.ReadAll(op.st)
-			if err := reply(f64sToBits(data)); err != nil {
+			w := wire.NewWriter(make([]byte, 0, 8*len(data)))
+			w.F64s(data)
+			if err := reply(w.Bytes()); err != nil {
 				return fmt.Errorf("rank %d: reply: %w", rs.me, err)
 			}
 		case msgReadAll32:
 			data := rs.rt.ReadAll32(op.st)
-			if err := reply(f32sToBits(data)); err != nil {
+			w := wire.NewWriter(make([]byte, 0, 4*len(data)))
+			w.F32s(data)
+			if err := reply(w.Bytes()); err != nil {
 				return fmt.Errorf("rank %d: reply: %w", rs.me, err)
 			}
 		case msgReadAt:
 			v, ok := rs.rt.ReadAt(op.st, int(op.off))
-			payload := make([]byte, 0, 9)
-			if ok {
-				payload = append(payload, 1)
-			} else {
-				payload = append(payload, 0)
-			}
-			payload = append(payload, f64sToBits([]float64{v})...)
-			if err := reply(payload); err != nil {
+			if err := reply(encodeReadAtReply(v, ok)); err != nil {
 				return fmt.Errorf("rank %d: reply: %w", rs.me, err)
 			}
 		case msgShutdown:

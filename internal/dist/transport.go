@@ -6,6 +6,8 @@ import (
 	"os"
 	"sync"
 	"time"
+
+	"diffuse/internal/wire"
 )
 
 // defaultTimeout bounds every transport receive: a peer that died (or
@@ -187,7 +189,7 @@ func connectMesh(p Provider, addrs *AddrSet, me int, timeout time.Duration) (*Tr
 			t.Close()
 			return nil, fmt.Errorf("rank %d connect to rank %d: %w", me, peer, err)
 		}
-		if err := writeFrame(conn, msgHello, appendI64(nil, int64(me))); err != nil {
+		if err := writeFrame(conn, msgHello, encodeI64(int64(me))); err != nil {
 			t.Close()
 			return nil, fmt.Errorf("rank %d hello to rank %d: %w", me, peer, err)
 		}
@@ -209,9 +211,9 @@ func connectMesh(p Provider, addrs *AddrSet, me int, timeout time.Duration) (*Tr
 			t.Close()
 			return nil, fmt.Errorf("rank %d: bad hello (tag %d): %v", me, tag, err)
 		}
-		peer64, _, err := readI64(body)
-		peer := int(peer64)
-		if err != nil || peer <= me || peer >= ranks || t.links[peer] != nil {
+		hr := wire.NewReader(body)
+		peer := int(hr.I64())
+		if hr.Err() != nil || peer <= me || peer >= ranks || t.links[peer] != nil {
 			conn.Close()
 			t.Close()
 			return nil, fmt.Errorf("rank %d: hello names invalid peer %d", me, peer)

@@ -1,14 +1,13 @@
 package ir_test
 
-// Fuzz harness for the control-stream wire decoders. Every rank feeds
-// parent-supplied bytes straight into DecodeTask (and the dependence and
-// span codecs), so the decoders are a trust boundary: malformed or
-// truncated input must come back as an error — never a panic, and never
-// an allocation sized by an attacker-controlled count rather than the
-// input length (rbuf.count caps every count against the bytes actually
-// present). The committed seed corpus under
-// testdata/fuzz/FuzzDecodeStream starts the exploration from valid
-// encodings plus canonical corruptions of them.
+// Fuzz harness for the control-stream task decoder. Every rank feeds
+// parent-supplied bytes straight into DecodeTask, so the decoder is a
+// trust boundary: malformed or truncated input must come back as an
+// error — never a panic, and never an allocation sized by an
+// attacker-controlled count rather than the input length (wire.Reader's
+// Count caps every count against the bytes actually present). The
+// committed seed corpus under testdata/fuzz/FuzzDecodeStream starts the
+// exploration from valid encodings plus canonical corruptions of them.
 
 import (
 	"testing"
@@ -43,7 +42,7 @@ func FuzzDecodeStream(f *testing.F) {
 	resolveKernel := func(int64, string) (*kir.Kernel, error) { return nil, nil }
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// The decoders must return an error or a well-formed value; the
+		// The decoder must return an error or a well-formed value; the
 		// fuzzer itself catches panics and runaway allocation.
 		dec, err := ir.DecodeTask(data, resolveStore, resolveKernel)
 		if err == nil {
@@ -58,14 +57,5 @@ func FuzzDecodeStream(f *testing.F) {
 				t.Fatalf("re-encoded task does not decode: %v", err)
 			}
 		}
-
-		rest := data
-		if _, r, err := ir.DecodeStageDep(rest); err == nil {
-			rest = r
-		}
-		if _, r, err := ir.DecodeSpan(rest); err == nil {
-			rest = r
-		}
-		_ = rest
 	})
 }

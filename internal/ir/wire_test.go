@@ -11,6 +11,7 @@ package ir_test
 import (
 	"bytes"
 	"fmt"
+	"os"
 	"testing"
 
 	"diffuse/cunum"
@@ -18,12 +19,12 @@ import (
 	"diffuse/internal/core"
 	"diffuse/internal/ir"
 	"diffuse/internal/kir"
+	"diffuse/internal/wire"
 )
 
-// captureSuiteTasks runs every workload of the apps suite on a sharded
-// wavefront runtime and returns each emitted task alongside the shard
-// count it was stamped under.
-func captureSuiteTasks(t *testing.T, shards int) []*ir.Task {
+// captureTasks runs two iterations of each workload build returns on a
+// sharded wavefront runtime and returns every emitted task.
+func captureTasks(t *testing.T, shards int, build func(ctx *cunum.Context) []func(int)) []*ir.Task {
 	t.Helper()
 	cfg := core.DefaultConfig(4)
 	cfg.Shards = shards
@@ -32,7 +33,19 @@ func captureSuiteTasks(t *testing.T, shards int) []*ir.Task {
 
 	var tasks []*ir.Task
 	rt.Legion().Trace = func(tk *ir.Task) { tasks = append(tasks, tk) }
+	for _, it := range build(ctx) {
+		it(2)
+		ctx.Flush()
+	}
+	rt.Legion().DrainShardGroup()
+	if len(tasks) == 0 {
+		t.Fatal("workloads emitted no tasks")
+	}
+	return tasks
+}
 
+// suiteIterates is every workload of the apps suite.
+func suiteIterates(ctx *cunum.Context) []func(int) {
 	iterates := []func(int){
 		apps.NewBlackScholes(ctx, 512).Iterate,
 		apps.NewJacobiTotal(ctx, 64).Iterate,
@@ -54,15 +67,7 @@ func captureSuiteTasks(t *testing.T, shards int) []*ir.Task {
 		b := ctx.Ones(n * n)
 		iterates = append(iterates, apps.NewGMG(ctx, n, 2, b).Iterate)
 	}
-	for _, it := range iterates {
-		it(2)
-		ctx.Flush()
-	}
-	rt.Legion().DrainShardGroup()
-	if len(tasks) == 0 {
-		t.Fatal("apps suite emitted no tasks")
-	}
-	return tasks
+	return iterates
 }
 
 // TestTaskWireRoundTripAppsSuite: the full apps task stream round-trips
@@ -71,7 +76,7 @@ func captureSuiteTasks(t *testing.T, shards int) []*ir.Task {
 func TestTaskWireRoundTripAppsSuite(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			tasks := captureSuiteTasks(t, shards)
+			tasks := captureTasks(t, shards, suiteIterates)
 			t.Logf("captured %d tasks", len(tasks))
 
 			// The same lazy tables the dist parent and ranks keep: kernels
@@ -184,5 +189,95 @@ func TestTaskWireVersionMismatch(t *testing.T) {
 	}
 	if want := "version"; !bytes.Contains([]byte(err.Error()), []byte(want)) {
 		t.Fatalf("error %q does not mention the wire version", err)
+	}
+}
+
+// streamRecords encodes a task stream the way the dist parent does — each
+// kernel once, at its first reference, then the task — as records of
+// kind byte ('K' kernel, 'T' task), kernel ref, and the encoded bytes.
+func streamRecords(t *testing.T, tasks []*ir.Task) []byte {
+	t.Helper()
+	var w wire.Writer
+	refs := map[*kir.Kernel]int64{}
+	for _, tk := range tasks {
+		ref := int64(-1)
+		if tk.Kernel != nil {
+			var ok bool
+			if ref, ok = refs[tk.Kernel]; !ok {
+				ref = int64(len(refs))
+				refs[tk.Kernel] = ref
+				w.U8('K')
+				w.I64(ref)
+				w.Str(string(kir.EncodeKernel(tk.Kernel)))
+			}
+		}
+		enc, err := ir.EncodeTask(tk, ref)
+		if err != nil {
+			t.Fatalf("task %s: encode: %v", tk.Name, err)
+		}
+		w.U8('T')
+		w.I64(ref)
+		w.Str(string(enc))
+	}
+	return w.Bytes()
+}
+
+// TestWireGoldenStencilChain: the task and kernel codecs encode the
+// Stencil-Chain stream at shards=4 to exactly the committed bytes, and
+// every committed record decodes and re-encodes to itself — the wire
+// formats (WireVersion and KernelWireVersion 1) have not drifted.
+func TestWireGoldenStencilChain(t *testing.T) {
+	golden, err := os.ReadFile("testdata/wire/stencil_chain_shards4.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ir.WireVersion != 1 || kir.KernelWireVersion != 1 {
+		t.Fatalf("wire versions %d/%d, want 1/1", ir.WireVersion, kir.KernelWireVersion)
+	}
+	tasks := captureTasks(t, 4, func(ctx *cunum.Context) []func(int) {
+		return []func(int){apps.NewStencilChain(ctx, 256, 16, 4, apps.ChainUpwind, cunum.F64).Iterate}
+	})
+	if got := streamRecords(t, tasks); !bytes.Equal(got, golden) {
+		t.Fatalf("stream encodes to %d bytes that differ from the %d golden bytes", len(got), len(golden))
+	}
+
+	kernels := map[int64]*kir.Kernel{}
+	stores := func(id ir.StoreID) (*ir.Store, error) { return ir.RestoreStore(id, "", nil, ir.F64), nil }
+	resolve := func(ref int64, fp string) (*kir.Kernel, error) {
+		k, ok := kernels[ref]
+		if !ok || k.Fingerprint() != fp {
+			return nil, fmt.Errorf("kernel ref %d unknown or fingerprint mismatch", ref)
+		}
+		return k, nil
+	}
+	r := wire.NewReader(golden)
+	for n := 0; r.Remaining() > 0; n++ {
+		kind, ref, rec := r.U8(), r.I64(), []byte(r.Str())
+		if err := r.Err(); err != nil {
+			t.Fatalf("record %d: %v", n, err)
+		}
+		var reenc []byte
+		switch kind {
+		case 'K':
+			k, err := kir.DecodeKernel(rec)
+			if err != nil {
+				t.Fatalf("record %d: decode kernel: %v", n, err)
+			}
+			kernels[ref] = k
+			reenc = kir.EncodeKernel(k)
+		case 'T':
+			tk, err := ir.DecodeTask(rec, stores, resolve)
+			if err != nil {
+				t.Fatalf("record %d: decode task: %v", n, err)
+			}
+			if reenc, err = ir.EncodeTask(tk, ref); err != nil {
+				t.Fatalf("record %d: re-encode task: %v", n, err)
+			}
+		default:
+			t.Fatalf("record %d: unknown kind %q", n, kind)
+		}
+		if !bytes.Equal(reenc, rec) {
+			t.Fatalf("record %d (%c): decoded value re-encodes to different bytes", n, kind)
+		}
 	}
 }

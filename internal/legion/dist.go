@@ -42,10 +42,10 @@ package legion
 
 import (
 	"fmt"
-	"math"
 
 	"diffuse/internal/ir"
 	"diffuse/internal/kir"
+	"diffuse/internal/wire"
 )
 
 // RemoteBackend is the parent-side execution surface of a distributed
@@ -132,24 +132,35 @@ func distTag(seq uint64, kind, id, sub int) uint64 {
 // the transport copies the payload into its own frame buffer before the
 // send returns, so the scratch is immediately reusable.
 func appendBufBytes(dst []byte, b kir.Buffer, lo, hi int) []byte {
+	w := wire.NewWriter(dst)
 	for i := lo; i < hi; i++ {
-		bits := math.Float64bits(b.Get(i))
-		dst = append(dst,
-			byte(bits), byte(bits>>8), byte(bits>>16), byte(bits>>24),
-			byte(bits>>32), byte(bits>>40), byte(bits>>48), byte(bits>>56))
+		w.F64(b.Get(i))
 	}
-	return dst
+	return w.Bytes()
 }
 
-func appendU64(dst []byte, v uint64) []byte {
-	return append(dst,
-		byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
-		byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
+// appendHaloSub appends one halo sub-message to a batch frame: the
+// consuming node id, the payload length, then elements [lo, hi) of b.
+func appendHaloSub(dst []byte, nid int32, b kir.Buffer, lo, hi int) []byte {
+	w := wire.NewWriter(dst)
+	w.U64(uint64(uint32(nid)))
+	w.U64(uint64((hi - lo) * 8))
+	return appendBufBytes(w.Bytes(), b, lo, hi)
 }
 
-func readU64(b []byte) uint64 {
-	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
+// splitHaloBatch parses a batch frame of appendHaloSub sub-messages,
+// passing each node id and payload (aliasing data) to stage in order.
+func splitHaloBatch(data []byte, stage func(nid uint64, payload []byte)) error {
+	r := wire.NewReader(data)
+	for r.Remaining() > 0 {
+		nid := r.U64()
+		payload := r.Bytes(r.Count(1))
+		if err := r.Err(); err != nil {
+			return err
+		}
+		stage(nid, payload)
+	}
+	return nil
 }
 
 // patchBuf decodes an appendBufBytes payload into elements [lo, lo+n) of b,
@@ -160,9 +171,9 @@ func patchBuf(b kir.Buffer, lo int, data []byte, cuts []ir.Span) error {
 	if len(data)%8 != 0 {
 		return fmt.Errorf("legion: halo payload length %d not a multiple of 8", len(data))
 	}
-	n := len(data) / 8
-	for i := 0; i < n; i++ {
-		idx := lo + i
+	r := wire.NewReader(data)
+	for idx := lo; r.Remaining() > 0; idx++ {
+		v := r.F64()
 		cut := false
 		for _, c := range cuts {
 			if idx >= c.Lo && idx < c.Hi {
@@ -170,13 +181,9 @@ func patchBuf(b kir.Buffer, lo int, data []byte, cuts []ir.Span) error {
 				break
 			}
 		}
-		if cut {
-			continue
+		if !cut {
+			b.Set(idx, v)
 		}
-		off := i * 8
-		bits := uint64(data[off]) | uint64(data[off+1])<<8 | uint64(data[off+2])<<16 | uint64(data[off+3])<<24 |
-			uint64(data[off+4])<<32 | uint64(data[off+5])<<40 | uint64(data[off+6])<<48 | uint64(data[off+7])<<56
-		b.Set(idx, math.Float64frombits(bits))
 	}
 	return nil
 }
@@ -343,10 +350,7 @@ func (ds *distGroupState) sendHalos(e int) {
 			if !ok {
 				continue
 			}
-			buf := ds.storeBuf(e, dep.Store)
-			batch = appendU64(batch, uint64(uint32(nid)))
-			batch = appendU64(batch, uint64((w.Hi-w.Lo)*8))
-			batch = appendBufBytes(batch, buf, w.Lo, w.Hi)
+			batch = appendHaloSub(batch, nid, ds.storeBuf(e, dep.Store), w.Lo, w.Hi)
 			subs++
 		}
 		ds.scratch = batch
@@ -373,18 +377,11 @@ func (ds *distGroupState) stagedHalo(sender int, nid int32, prod int) []byte {
 	}
 	ds.batched[bkey] = true
 	data := ds.recv(sender, distTag(ds.seq, tagKindHalo, prod, 0), prod)
-	for off := 0; off < len(data); {
-		if len(data)-off < 16 {
-			panic(fmt.Sprintf("legion: rank %d: truncated halo batch from rank %d (entry %d): %d bytes at offset %d", ds.me, sender, prod, len(data), off))
-		}
-		sub := readU64(data[off:])
-		ln := readU64(data[off+8:])
-		off += 16
-		if ln > uint64(len(data)-off) {
-			panic(fmt.Sprintf("legion: rank %d: truncated halo batch from rank %d (entry %d): sub-message %d wants %d bytes, %d remain", ds.me, sender, prod, sub, ln, len(data)-off))
-		}
-		ds.staged[uint64(sender)<<32|sub] = data[off : off+int(ln)]
-		off += int(ln)
+	err := splitHaloBatch(data, func(sub uint64, payload []byte) {
+		ds.staged[uint64(sender)<<32|sub] = payload
+	})
+	if err != nil {
+		panic(fmt.Sprintf("legion: rank %d: truncated halo batch from rank %d (entry %d): %v", ds.me, sender, prod, err))
 	}
 	payload, ok := ds.staged[skey]
 	if !ok {
@@ -629,8 +626,10 @@ func (rt *Runtime) runWavefrontDist(g *shardGroup) {
 		}
 	}
 
-	ws := &rt.exec.ws[rt.exec.nw]
-	run := func(nid int32) {
+	// The serial drain with no priorities: its order depends only on the
+	// DAG, which every rank builds identically, so every rank runs the
+	// same order (per-rank calibration priorities would break that).
+	rt.exec.runDAGSerial(len(d.nodes), d.indeg, d.succ, nil, func(ws *workerState, nid int32) {
 		n := &d.nodes[nid]
 		switch n.kind {
 		case wfUnit:
@@ -644,31 +643,7 @@ func (rt *Runtime) runWavefrontDist(g *shardGroup) {
 		case wfBarrier:
 			ds.runBarrier(nid)
 		}
-	}
-
-	// Serial LIFO drain — the same order runDAG's serial path uses, and
-	// (because the DAG is identical) the same order on every rank.
-	var stack []int32
-	for n := len(d.nodes) - 1; n >= 0; n-- {
-		if d.indeg[n].Load() == 0 {
-			stack = append(stack, int32(n))
-		}
-	}
-	done := 0
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		run(n)
-		done++
-		for i := len(d.succ[n]) - 1; i >= 0; i-- {
-			if sn := d.succ[n][i]; d.indeg[sn].Add(-1) == 0 {
-				stack = append(stack, sn)
-			}
-		}
-	}
-	if done != len(d.nodes) {
-		panic(fmt.Sprintf("legion: distributed wavefront DAG stalled at %d/%d nodes (cycle?)", done, len(d.nodes)))
-	}
+	})
 
 	if len(ds.staged) != 0 {
 		panic(fmt.Sprintf("legion: rank %d: %d staged halo sub-messages left unconsumed after drain", ds.me, len(ds.staged)))

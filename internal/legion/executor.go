@@ -857,53 +857,15 @@ func sortReady(nodes []int32, prio []float64) {
 // lengths) is dispatched first. With prio nil the order is exactly the
 // historical LIFO depth-first drain.
 func (e *executor) runDAG(nnodes int, indeg []atomic.Int32, succ [][]int32, prio []float64, run func(ws *workerState, node int32)) {
+	if e.nw <= 1 {
+		e.runDAGSerial(nnodes, indeg, succ, prio, run)
+		return
+	}
 	if nnodes == 0 {
 		return
 	}
-	// Seed roots in descending id order so the lowest (first entry, first
-	// shard) node pops first.
-	var roots []int32
-	for n := nnodes - 1; n >= 0; n-- {
-		if indeg[n].Load() == 0 {
-			roots = append(roots, int32(n))
-		}
-	}
-	if prio != nil {
-		sortReady(roots, prio)
-	}
-	if e.nw <= 1 {
-		// Serial fast path: plain LIFO stack on the submitter.
-		sub := &e.ws[e.nw]
-		stack := roots
-		done := 0
-		for len(stack) > 0 {
-			n := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			run(sub, n)
-			done++
-			if prio == nil {
-				for i := len(succ[n]) - 1; i >= 0; i-- {
-					if sn := succ[n][i]; indeg[sn].Add(-1) == 0 {
-						stack = append(stack, sn)
-					}
-				}
-			} else {
-				mark := len(stack)
-				for _, sn := range succ[n] {
-					if indeg[sn].Add(-1) == 0 {
-						stack = append(stack, sn)
-					}
-				}
-				sortReady(stack[mark:], prio)
-			}
-		}
-		if done != nnodes {
-			panic(fmt.Sprintf("legion: wavefront DAG stalled at %d/%d nodes (cycle?)", done, nnodes))
-		}
-		return
-	}
 	e.pooled.Add(1)
-	d := &dagState{stack: roots, remaining: nnodes, indeg: indeg, succ: succ, prio: prio, run: run}
+	d := &dagState{stack: dagRoots(nnodes, indeg, prio), remaining: nnodes, indeg: indeg, succ: succ, prio: prio, run: run}
 	d.cond = sync.NewCond(&d.mu)
 	b := &execBatch{dag: d}
 	woken := e.nw
@@ -918,6 +880,56 @@ func (e *executor) runDAG(nnodes int, indeg []atomic.Int32, succ [][]int32, prio
 	}
 	e.run(b, e.nw, e.nw)
 	b.wg.Wait()
+}
+
+// dagRoots returns the in-degree-zero nodes in pop order for a LIFO
+// stack: descending id, so the lowest (first entry, first shard) node
+// pops first, or ascending priority when prio is set.
+func dagRoots(nnodes int, indeg []atomic.Int32, prio []float64) []int32 {
+	var roots []int32
+	for n := nnodes - 1; n >= 0; n-- {
+		if indeg[n].Load() == 0 {
+			roots = append(roots, int32(n))
+		}
+	}
+	if prio != nil {
+		sortReady(roots, prio)
+	}
+	return roots
+}
+
+// runDAGSerial is runDAG on the submitting goroutine alone: a plain LIFO
+// stack, depth-first. With prio nil the order depends only on the DAG,
+// which is what the distributed drain relies on — every rank builds the
+// same DAG, so every rank runs its nodes in the same order.
+func (e *executor) runDAGSerial(nnodes int, indeg []atomic.Int32, succ [][]int32, prio []float64, run func(ws *workerState, node int32)) {
+	sub := &e.ws[e.nw]
+	stack := dagRoots(nnodes, indeg, prio)
+	done := 0
+	for len(stack) > 0 {
+		n := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		run(sub, n)
+		done++
+		if prio == nil {
+			for i := len(succ[n]) - 1; i >= 0; i-- {
+				if sn := succ[n][i]; indeg[sn].Add(-1) == 0 {
+					stack = append(stack, sn)
+				}
+			}
+		} else {
+			mark := len(stack)
+			for _, sn := range succ[n] {
+				if indeg[sn].Add(-1) == 0 {
+					stack = append(stack, sn)
+				}
+			}
+			sortReady(stack[mark:], prio)
+		}
+	}
+	if done != nnodes {
+		panic(fmt.Sprintf("legion: wavefront DAG stalled at %d/%d nodes (cycle?)", done, nnodes))
+	}
 }
 
 // runShards dispatches one sharded stage onto the pool: shard indices
@@ -945,9 +957,6 @@ func (e *executor) runShards(nshards int, fn func(ws *workerState, shard int)) {
 // the per-point policy exists as the chunked executor's bit-identity
 // oracle.
 func (rt *Runtime) SetExecPolicy(p ExecPolicy) { rt.policy = p }
-
-// ExecPolicyOf returns the active executor policy.
-func (rt *Runtime) ExecPolicyOf() ExecPolicy { return rt.policy }
 
 // ExecStats returns a snapshot of the executor's activity counters.
 func (rt *Runtime) ExecStats() ExecStats {

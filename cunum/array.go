@@ -2,6 +2,7 @@ package cunum
 
 import (
 	"fmt"
+	"strconv"
 
 	"diffuse/internal/ir"
 	"diffuse/internal/kir"
@@ -194,13 +195,27 @@ func (a *Array) nonePart(colors ir.Rect) ir.Partition {
 // domSig is the iteration-domain signature of element-wise loops over this
 // view: loops with equal signatures have identical per-point extents and
 // may be merged by the kernel optimizer.
+//
+// It is rendered on every element-wise op and enters the kernel
+// fingerprint, so it is built with strconv rather than fmt; the text is
+// fmt's "%v|%v" of shape and tile, e.g. "[16 16]|[8 8]".
 func (a *Array) domSig() string {
-	grid := a.ctx.gridFor(a.Rank())
-	tile := make([]int, a.Rank())
-	for d := range tile {
-		tile[d] = ceilDiv(a.shape[d], grid[d])
+	b := make([]byte, 0, 32)
+	b = appendIntList(b, a.shape)
+	b = append(b, '|')
+	return string(appendIntList(b, a.tileExt()))
+}
+
+// appendIntList renders vs as fmt's %v does: "[16 16]".
+func appendIntList(b []byte, vs []int) []byte {
+	b = append(b, '[')
+	for i, v := range vs {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = strconv.AppendInt(b, int64(v), 10)
 	}
-	return fmt.Sprintf("%v|%v", a.shape, tile)
+	return append(b, ']')
 }
 
 // tileExt is the static per-point extent (tile shape) of this view.

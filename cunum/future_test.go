@@ -1,6 +1,7 @@
 package cunum
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"sync"
@@ -183,5 +184,24 @@ func TestConcurrentSessionContexts(t *testing.T) {
 		if math.Abs(results[g]-want)/want > 1e-12 {
 			t.Fatalf("session %d: got %g want %g", g, results[g], want)
 		}
+	}
+}
+
+// TestDomSigMatchesFmt: the strconv domain signature renders exactly the
+// fmt "%v|%v" text of shape and tile it replaced (it enters kernel
+// fingerprints, so the bytes must not move).
+func TestDomSigMatchesFmt(t *testing.T) {
+	for _, procs := range []int{1, 4, 6} {
+		ctx := testCtx(procs)
+		for _, shape := range [][]int{{16, 16}, {7}, {1}, {100, 3}, {5, 129}} {
+			a := ctx.Zeros(shape...)
+			want := fmt.Sprintf("%v|%v", a.shape, a.tileExt())
+			if got := a.domSig(); got != want {
+				t.Fatalf("procs %d shape %v: domSig %q, want %q", procs, shape, got, want)
+			}
+		}
+	}
+	if got := testCtx(4).Zeros(16, 16).domSig(); got != "[16 16]|[8 8]" {
+		t.Fatalf("domSig %q, want %q", got, "[16 16]|[8 8]")
 	}
 }

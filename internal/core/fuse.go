@@ -39,71 +39,55 @@ type memoEntry struct {
 }
 
 // analyze returns the fusion plan for a session's window, consulting the
-// memo table keyed by the window's canonical form. pinned stores (touched
-// by tasks deferred out of the window during a partial flush, or
-// referenced by another session's buffered tasks) are classified as live —
-// both in the canonical key and, below, for temporary-store elimination.
-// Callers hold r.mu.
+// memo table keyed by the window's binary canonical form. pinned stores
+// (touched by tasks deferred out of the window during a partial flush)
+// are classified as live — both in the canonical key and, below, for
+// temporary-store elimination. Callers hold r.mu, which also guards the
+// canonicalizer and liveness scratch reused here: a warm memo hit
+// allocates nothing.
 func (r *Runtime) analyze(window []*ir.Task, pinned map[ir.StoreID]bool) *fusionPlan {
-	pinned = withExternalRefs(window, pinned)
-	// Snapshot liveness once per store: ReleaseApp is an atomic another
-	// goroutine may flip at any time, and the memo key and temp
-	// elimination must agree on what they saw — a key minted as "live"
-	// caching a plan computed against "dead" would poison the memo table.
-	live := make(map[ir.StoreID]bool)
-	for _, t := range window {
-		for _, a := range t.Args {
-			id := a.Store.ID()
-			if _, seen := live[id]; !seen {
-				live[id] = a.Store.AppLive() || pinned[id]
-			}
-		}
+	live := r.snapshotLive(window, pinned)
+	if r.cfg.NoMemo {
+		return r.computePlan(window, live)
 	}
-	if !r.cfg.NoMemo {
-		key := ir.Canonicalize(window, func(s *ir.Store) string {
-			if live[s.ID()] {
-				return "live"
-			}
-			return "dead"
-		})
-		if e, ok := r.memo[key]; ok {
-			r.stats.MemoHits++
-			return e.plan
-		}
-		plan := r.computePlan(window, live)
-		r.memo[key] = &memoEntry{plan: plan}
-		r.stats.MemoMisses++
-		return plan
+	key := r.canon.Key(window, live)
+	if e, ok := r.memo[string(key)]; ok {
+		r.stats.MemoHits++
+		return e.plan
 	}
-	return r.computePlan(window, live)
+	plan := r.computePlan(window, live)
+	r.memo[string(key)] = &memoEntry{plan: plan}
+	r.stats.MemoMisses++
+	return plan
 }
 
-// withExternalRefs extends pinned with stores whose runtime reference
-// count exceeds the references held by this window's own tasks: stores are
-// shared across sessions, so the surplus belongs to another session's
-// still-buffered tasks, and eliminating such a store as a temporary would
-// hand that session a freshly zeroed region. Runtime references are only
-// released during emission, which callers serialize under r.mu, so the
-// surplus can never be an undercount.
-func withExternalRefs(window []*ir.Task, pinned map[ir.StoreID]bool) map[ir.StoreID]bool {
-	counts := map[*ir.Store]int64{}
+// snapshotLive records, once per store the window touches, whether it
+// must survive the window: the application references it, it is pinned,
+// or its runtime reference count exceeds the references held by this
+// window's own tasks. Stores are shared across sessions, so that surplus
+// belongs to another session's still-buffered tasks, and eliminating such
+// a store as a temporary would hand that session a freshly zeroed region.
+// Runtime references are only released during emission, which callers
+// serialize under r.mu, so the surplus can never be an undercount.
+//
+// The snapshot is taken once because ReleaseApp is an atomic another
+// goroutine may flip at any time, and the memo key and temp elimination
+// must agree on what they saw — a key minted as "live" caching a plan
+// computed against "dead" would poison the memo table. The returned map
+// is scratch, valid until the next call.
+func (r *Runtime) snapshotLive(window []*ir.Task, pinned map[ir.StoreID]bool) map[ir.StoreID]bool {
+	clear(r.refScratch)
+	clear(r.liveScratch)
 	for _, t := range window {
 		for _, a := range t.Args {
-			counts[a.Store]++
+			r.refScratch[a.Store]++
 		}
 	}
-	out := make(map[ir.StoreID]bool, len(pinned))
-	for id, v := range pinned {
-		if v {
-			out[id] = true
-		}
+	for s, n := range r.refScratch {
+		id := s.ID()
+		r.liveScratch[id] = s.AppLive() || pinned[id] || s.RuntimeRefs() > n
 	}
-	for s, n := range counts {
-		if s.RuntimeRefs() > n {
-			out[s.ID()] = true
-		}
-	}
-	return out
+	return r.liveScratch
 }
 
 // computePlan runs the full analysis: fusible prefix, argument merging,

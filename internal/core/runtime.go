@@ -159,10 +159,16 @@ type Runtime struct {
 	leg  *legion.Runtime
 	fact ir.Factory
 
-	mu    sync.Mutex // guards seq, memo, stats, and task emission
+	mu    sync.Mutex // guards seq, memo, stats, task emission, and the scratch below
 	memo  map[string]*memoEntry
 	seq   int64
 	stats Stats
+
+	// Window-analysis scratch reused across analyze calls (fuse.go): the
+	// memo-key builder and the per-store reference and liveness maps.
+	canon       ir.Canonicalizer
+	refScratch  map[*ir.Store]int64
+	liveScratch map[ir.StoreID]bool
 
 	// quotaOf maps each quota-charged store to its tenant charge, so the
 	// credit at store death reaches the right Quota. Guarded by quotaMu
@@ -194,10 +200,12 @@ func New(cfg Config) *Runtime {
 		cfg.Wavefront = legion.WavefrontOn
 	}
 	r := &Runtime{
-		cfg:     cfg,
-		leg:     legion.New(cfg.Mode, cfg.Machine),
-		memo:    map[string]*memoEntry{},
-		quotaOf: map[ir.StoreID]storeCharge{},
+		cfg:         cfg,
+		leg:         legion.New(cfg.Mode, cfg.Machine),
+		memo:        map[string]*memoEntry{},
+		refScratch:  map[*ir.Store]int64{},
+		liveScratch: map[ir.StoreID]bool{},
+		quotaOf:     map[ir.StoreID]storeCharge{},
 	}
 	r.leg.SetExecPolicy(cfg.Exec)
 	r.leg.SetShards(cfg.Shards)

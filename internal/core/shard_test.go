@@ -51,8 +51,9 @@ func TestRepartitionFusionConstraint(t *testing.T) {
 // canonicalize differently from ones that do not — a memoized plan for
 // the fused case must never replay on the split case.
 func TestCanonicalFormSeesRepartition(t *testing.T) {
-	plain := ir.Canonicalize(windowPair(0), nil)
-	resharded := ir.Canonicalize(windowPair(1), nil)
+	key := func(w []*ir.Task) string { return string(new(ir.Canonicalizer).Key(w, nil)) }
+	plain := key(windowPair(0))
+	resharded := key(windowPair(1))
 	if plain == resharded {
 		t.Fatal("canonical form does not distinguish a repartitioned window")
 	}
@@ -65,7 +66,7 @@ func TestCanonicalFormSeesRepartition(t *testing.T) {
 			task.Args[i].ShardGen += 5
 		}
 	}
-	if ir.Canonicalize(w, nil) != plain {
+	if key(w) != plain {
 		t.Fatal("uniform generation shift changed the canonical form (memo replays broken)")
 	}
 }

@@ -209,11 +209,11 @@ func TestCanonicalizeIsomorphism(t *testing.T) {
 	s6 := f.NewStore("s6", []int{16})
 	s7 := f.NewStore("s7", []int{16})
 
-	a := Canonicalize(mk(s1, s2, s3, false), nil)
-	b := Canonicalize(mk(s5, s6, s7, false), nil)
-	cdiff := Canonicalize(mk(s5, s6, s7, true), nil)
+	a := canonKey(mk(s1, s2, s3, false), nil)
+	b := canonKey(mk(s5, s6, s7, false), nil)
+	cdiff := canonKey(mk(s5, s6, s7, true), nil)
 	if a != b {
-		t.Fatalf("isomorphic streams must canonicalize equal:\n%s\nvs\n%s", a, b)
+		t.Fatalf("isomorphic streams must canonicalize equal:\n%x\nvs\n%x", a, b)
 	}
 	if a == cdiff {
 		t.Fatal("differing store pattern must change the canonical form")

@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"diffuse/internal/kir"
 )
 
 // Property suite over the partition algebra: the scale-free analyses lean
@@ -139,50 +141,108 @@ func TestEqualityIsFingerprintEquality(t *testing.T) {
 	fn := func(s1, s2 int64) bool {
 		a := randomTiling(rand.New(rand.NewSource(s1))).part
 		b := randomTiling(rand.New(rand.NewSource(s2))).part
-		return a.Equal(b) == (a.Fingerprint() == b.Fingerprint())
+		if a.Equal(b) != (a.Fingerprint() == b.Fingerprint()) {
+			return false
+		}
+		// The canonical key encodes exactly the fields Equal compares,
+		// so it agrees with Equal too, including on a rebuilt equal copy.
+		ka, kb := string(appendPart(nil, a)), string(appendPart(nil, b))
+		twin := randomTiling(rand.New(rand.NewSource(s1))).part
+		return a.Equal(b) == (ka == kb) && ka == string(appendPart(nil, twin))
 	}
 	if err := quick.Check(fn, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// canonKey is the canonical form of a window as a comparable string.
+func canonKey(window []*Task, live map[StoreID]bool) string {
+	return string(new(Canonicalizer).Key(window, live))
+}
+
 // TestCanonicalRenamingInvariance: the canonical form is invariant under
-// store renaming (alpha-equivalence) and sensitive to structural change.
+// store renaming (alpha-equivalence) and sensitive to structural change:
+// privileges, liveness bits, shard-generation deltas and kernel
+// immediates.
 func TestCanonicalRenamingInvariance(t *testing.T) {
 	launch := MakeRect(Point{0}, Point{4})
 	part := func() Partition {
 		return NewTiling(launch, []int{16}, []int{4}, []int{0}, nil, nil)
 	}
-	build := func(f *Factory, swapPriv bool) []*Task {
+	scale := func(c float64) *kir.Kernel {
+		k := kir.NewKernel("scale", 2)
+		return k.AddLoop(&kir.Loop{Kind: kir.LoopElem, Dom: "v", Ext: []int{4},
+			Stmts: []kir.Stmt{{Kind: kir.KStore, Param: 1, E: kir.Binary(kir.OpMul, kir.Load(0), kir.Const(c))}}})
+	}
+	type variant struct {
+		swapPriv bool
+		imm      float64
+		gen      int64 // shard generation of the last task's read of s[2]
+	}
+	build := func(f *Factory, v variant) ([]*Task, []*Store) {
 		s := make([]*Store, 4)
 		for i := range s {
 			s[i] = f.NewStore("s", []int{16})
 		}
 		priv := Read
-		if swapPriv {
+		if v.swapPriv {
 			priv = ReadWrite
 		}
 		return []*Task{
-			{Name: "a", Launch: launch, Args: []Arg{{Store: s[0], Part: part(), Priv: priv}, {Store: s[1], Part: part(), Priv: Write}}},
-			{Name: "b", Launch: launch, Args: []Arg{{Store: s[1], Part: part(), Priv: Read}, {Store: s[2], Part: part(), Priv: Write}}},
-			{Name: "a", Launch: launch, Args: []Arg{{Store: s[2], Part: part(), Priv: Read}, {Store: s[3], Part: part(), Priv: Write}}},
-		}
+			{Name: "a", Launch: launch, Kernel: scale(2), Args: []Arg{{Store: s[0], Part: part(), Priv: priv}, {Store: s[1], Part: part(), Priv: Write}}},
+			{Name: "b", Launch: launch, Kernel: scale(v.imm), Args: []Arg{{Store: s[1], Part: part(), Priv: Read}, {Store: s[2], Part: part(), Priv: Write}}},
+			{Name: "a", Launch: launch, Kernel: scale(2), Args: []Arg{{Store: s[2], Part: part(), Priv: Read, ShardGen: v.gen}, {Store: s[3], Part: part(), Priv: Write}}},
+		}, s
 	}
 	var f1, f2 Factory
 	// Drain some IDs from f2 so the absolute store IDs differ.
 	for i := 0; i < 17; i++ {
 		f2.NewStore("pad", []int{1})
 	}
-	if Canonicalize(build(&f1, false), nil) != Canonicalize(build(&f2, false), nil) {
+	base := variant{imm: 3}
+	w1, s1 := build(&f1, base)
+	w2, s2 := build(&f2, base)
+	live1 := map[StoreID]bool{s1[0].ID(): true}
+	if canonKey(w1, live1) != canonKey(w2, map[StoreID]bool{s2[0].ID(): true}) {
 		t.Fatal("canonical form must be invariant under store renaming")
 	}
-	if Canonicalize(build(&f1, false), nil) == Canonicalize(build(&f1, true), nil) {
-		t.Fatal("canonical form must be sensitive to privilege changes")
+	differ := map[string][]*Task{}
+	differ["privilege"], _ = build(&f1, variant{swapPriv: true, imm: 3})
+	differ["kernel immediate"], _ = build(&f1, variant{imm: 4})
+	differ["shard-generation delta"], _ = build(&f1, variant{imm: 3, gen: 1})
+	for what, w := range differ {
+		if canonKey(w1, live1) == canonKey(w, live1) {
+			t.Fatalf("canonical form must be sensitive to the %s", what)
+		}
 	}
-	facts := func(s *Store) string { return "live" }
-	deadFacts := func(s *Store) string { return "dead" }
-	if Canonicalize(build(&f1, false), facts) == Canonicalize(build(&f1, false), deadFacts) {
-		t.Fatal("canonical form must include caller facts")
+	if canonKey(w1, live1) == canonKey(w1, map[StoreID]bool{s1[1].ID(): true}) {
+		t.Fatal("canonical form must include the liveness bits")
+	}
+}
+
+// TestCanonicalizerWarmNoAlloc: a warm Canonicalizer builds a key
+// without allocating, and reusing it does not leak state between windows.
+func TestCanonicalizerWarmNoAlloc(t *testing.T) {
+	var f Factory
+	launch := MakeRect(Point{0}, Point{4})
+	tp := NewTiling(launch, []int{16}, []int{4}, []int{0}, nil, nil)
+	none := ReplicateOver(launch)
+	a, b := f.NewStore("a", []int{16}), f.NewStore("b", []int{16})
+	k := kir.NewKernel("copy", 2)
+	var w []*Task
+	for i := 0; i < 16; i++ {
+		w = append(w, &Task{Name: "copy", Launch: launch, Kernel: k, Args: []Arg{
+			{Store: a, Part: none, Priv: Read}, {Store: b, Part: tp, Priv: Reduce, Red: RedSum}}})
+	}
+	live := map[StoreID]bool{a.ID(): true}
+	var c Canonicalizer
+	first := string(c.Key(w, live))
+	if n := testing.AllocsPerRun(100, func() { c.Key(w, live) }); n != 0 {
+		t.Fatalf("warm Canonicalizer.Key allocates %.0f times per call", n)
+	}
+	c.Key(w[:3], nil)
+	if string(c.Key(w, live)) != first || first != canonKey(w, live) {
+		t.Fatal("a reused Canonicalizer keys differently from a fresh one")
 	}
 }
 

@@ -25,6 +25,8 @@ package kir
 import (
 	"fmt"
 	"math"
+	"slices"
+	"strconv"
 	"strings"
 )
 
@@ -282,6 +284,9 @@ type Kernel struct {
 	// bookkeeping cheaper than the tasks it schedules. Reset by the
 	// build-time mutators (AddLoop, SetDType); not copied by Clone/Remap.
 	fpMemo string
+	// ckMemo caches CompileKey for kernels with local parameters; reset
+	// alongside fpMemo and by MarkLocal.
+	ckMemo string
 }
 
 // NewKernel allocates a kernel with the given parameter count; every
@@ -308,7 +313,7 @@ func (k *Kernel) SetDType(p int, d DType) {
 		k.DTypes = dts
 	}
 	k.DTypes[p] = d
-	k.fpMemo = ""
+	k.fpMemo, k.ckMemo = "", ""
 }
 
 // HasCast reports whether any statement of the kernel contains an explicit
@@ -350,7 +355,7 @@ func (k *Kernel) computeHasCast() bool {
 // AddLoop appends a loop to the kernel.
 func (k *Kernel) AddLoop(l *Loop) *Kernel {
 	k.Loops = append(k.Loops, l)
-	k.fpMemo = ""
+	k.fpMemo, k.ckMemo = "", ""
 	return k
 }
 
@@ -429,7 +434,36 @@ func Concat(name string, nparams int, kernels []*Kernel, mappings [][]int) *Kern
 }
 
 // MarkLocal demotes parameter p to a task-local allocation (Fig. 8c).
-func (k *Kernel) MarkLocal(p int) { k.Local[p] = true }
+func (k *Kernel) MarkLocal(p int) {
+	k.Local[p] = true
+	k.ckMemo = ""
+}
+
+// CompileKey is the identity under which kernels compile to
+// interchangeable Compiled forms: the fingerprint plus the Local mask.
+// Local is not in the fingerprint, but it decides which parameters get
+// task-local buffers (BufferLocals). A kernel with no local parameter
+// keys on its fingerprint alone, which never starts with 'L'.
+func (k *Kernel) CompileKey() string {
+	fp := k.Fingerprint()
+	if k == nil || !slices.Contains(k.Local, true) {
+		return fp
+	}
+	if k.ckMemo == "" {
+		b := make([]byte, 0, 2+len(k.Local)+len(fp))
+		b = append(b, 'L')
+		for _, l := range k.Local {
+			c := byte('0')
+			if l {
+				c = '1'
+			}
+			b = append(b, c)
+		}
+		b = append(b, '|')
+		k.ckMemo = string(append(b, fp...))
+	}
+	return k.ckMemo
+}
 
 // String implements fmt.Stringer.
 func (k *Kernel) String() string {
@@ -453,54 +487,98 @@ func (k *Kernel) Fingerprint() string {
 	if k.fpMemo != "" {
 		return k.fpMemo
 	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "%d|", k.NParams)
+	// Rendered with strconv appends rather than fmt: unfused streams
+	// fingerprint a fresh kernel per task, so this runs on the submit path.
+	// The bytes are exactly those of the fmt verbs noted alongside
+	// (%d, %s, %v of []int, %t, %g); the wire codec and the memo key
+	// both depend on them.
+	b := make([]byte, 0, 64+48*len(k.Loops))
+	b = strconv.AppendInt(b, int64(k.NParams), 10)
+	b = append(b, '|')
 	// Parameter dtypes are part of kernel identity: an f32 stream and an
 	// f64 stream with identical bodies must not share a memoized plan (the
 	// compiled kernel's locals, rounding, and cost all differ).
 	for p := 0; p < k.NParams; p++ {
-		b.WriteString(k.DTypeOf(p).String())
-		b.WriteByte(',')
+		b = append(b, k.DTypeOf(p).String()...)
+		b = append(b, ',')
 	}
-	b.WriteByte('|')
+	b = append(b, '|')
 	for _, l := range k.Loops {
-		fmt.Fprintf(&b, "k%d;d%s;e%v;r%d;y%d;x%d;m%d;a%t;red%d;s%d;p%d{",
-			l.Kind, l.Dom, l.Ext, l.ExtRef, l.Y, l.X, l.MatA, l.Acc, l.Red, l.Seed, l.PayloadKey)
-		for _, st := range l.Stmts {
-			fmt.Fprintf(&b, "%d:%d:%d:", st.Kind, st.Param, st.Red)
-			exprFingerprint(&b, st.E)
-			b.WriteByte(';')
+		// "k%d;d%s;e%v;r%d;y%d;x%d;m%d;a%t;red%d;s%d;p%d{"
+		b = append(b, 'k')
+		b = strconv.AppendUint(b, uint64(l.Kind), 10)
+		b = append(b, ";d"...)
+		b = append(b, l.Dom...)
+		b = append(b, ";e["...)
+		for i, e := range l.Ext {
+			if i > 0 {
+				b = append(b, ' ')
+			}
+			b = strconv.AppendInt(b, int64(e), 10)
 		}
-		b.WriteByte('}')
+		b = append(b, "];r"...)
+		b = strconv.AppendInt(b, int64(l.ExtRef), 10)
+		b = append(b, ";y"...)
+		b = strconv.AppendInt(b, int64(l.Y), 10)
+		b = append(b, ";x"...)
+		b = strconv.AppendInt(b, int64(l.X), 10)
+		b = append(b, ";m"...)
+		b = strconv.AppendInt(b, int64(l.MatA), 10)
+		b = append(b, ";a"...)
+		b = strconv.AppendBool(b, l.Acc)
+		b = append(b, ";red"...)
+		b = strconv.AppendUint(b, uint64(l.Red), 10)
+		b = append(b, ";s"...)
+		b = strconv.AppendUint(b, l.Seed, 10)
+		b = append(b, ";p"...)
+		b = strconv.AppendInt(b, int64(l.PayloadKey), 10)
+		b = append(b, '{')
+		for _, st := range l.Stmts {
+			// "%d:%d:%d:"
+			b = strconv.AppendUint(b, uint64(st.Kind), 10)
+			b = append(b, ':')
+			b = strconv.AppendInt(b, int64(st.Param), 10)
+			b = append(b, ':')
+			b = strconv.AppendUint(b, uint64(st.Red), 10)
+			b = append(b, ':')
+			b = appendExprFingerprint(b, st.E)
+			b = append(b, ';')
+		}
+		b = append(b, '}')
 	}
-	k.fpMemo = b.String()
+	k.fpMemo = string(b)
 	return k.fpMemo
 }
 
-func exprFingerprint(b *strings.Builder, e *Expr) {
+func appendExprFingerprint(b []byte, e *Expr) []byte {
 	if e == nil {
-		b.WriteByte('_')
-		return
+		return append(b, '_')
 	}
 	switch e.Op {
-	case OpConst:
-		fmt.Fprintf(b, "c%g", e.Imm)
-	case OpLoad:
-		fmt.Fprintf(b, "l%d", e.Param)
-	case OpLoadScalar:
-		fmt.Fprintf(b, "s%d", e.Param)
-	case OpCast:
-		fmt.Fprintf(b, "cast%s(", e.DT)
-		exprFingerprint(b, e.A)
-		b.WriteByte(')')
-	default:
-		fmt.Fprintf(b, "%d(", e.Op)
-		exprFingerprint(b, e.A)
-		b.WriteByte(',')
-		exprFingerprint(b, e.B)
-		b.WriteByte(',')
-		exprFingerprint(b, e.C)
-		b.WriteByte(')')
+	case OpConst: // "c%g"
+		b = append(b, 'c')
+		return strconv.AppendFloat(b, e.Imm, 'g', -1, 64)
+	case OpLoad: // "l%d"
+		b = append(b, 'l')
+		return strconv.AppendInt(b, int64(e.Param), 10)
+	case OpLoadScalar: // "s%d"
+		b = append(b, 's')
+		return strconv.AppendInt(b, int64(e.Param), 10)
+	case OpCast: // "cast%s(" A ")"
+		b = append(b, "cast"...)
+		b = append(b, e.DT.String()...)
+		b = append(b, '(')
+		b = appendExprFingerprint(b, e.A)
+		return append(b, ')')
+	default: // "%d(" A "," B "," C ")"
+		b = strconv.AppendUint(b, uint64(e.Op), 10)
+		b = append(b, '(')
+		b = appendExprFingerprint(b, e.A)
+		b = append(b, ',')
+		b = appendExprFingerprint(b, e.B)
+		b = append(b, ',')
+		b = appendExprFingerprint(b, e.C)
+		return append(b, ')')
 	}
 }
 

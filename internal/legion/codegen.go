@@ -6,16 +6,14 @@ import (
 	"diffuse/internal/kir"
 )
 
-// The runtime side of the compiled-kernel (codegen) backend: a
-// fingerprint-keyed cache of kir.CodegenProgram attached to every kernel
-// compiled in ModeReal. Programs capture only lowering-time structure, so
-// one program serves every Compiled whose kernel fingerprint matches —
-// unfused streams mint a fresh kernel object per task every iteration
-// and still hit this cache (the same motivation as the task-plan cache,
-// which is why both share the clear-on-overflow bound). Unlike task
-// plans, programs hold no region references, so the free-epoch
-// invalidation that guards plans is irrelevant here: a program outlives
-// any store.
+// The runtime side of the compiled-kernel (codegen) backend. Programs
+// live on the kernels of the runtime's one kernel cache (Runtime.Compiled):
+// each cached kir.Compiled is lowered once and carries its program, so one
+// program serves every task whose kernel has the same CompileKey — unfused
+// streams mint a fresh kernel object per task every iteration and still
+// hit. Unlike task plans, compiled kernels hold no region references, so
+// the free-epoch invalidation that guards plans is irrelevant here: a
+// compiled kernel outlives any store.
 
 // CodegenMode toggles the compiled-kernel backend. The zero value is on —
 // codegen is the default tier, the interpreter the reference oracle and
@@ -32,11 +30,11 @@ const (
 	CodegenOff
 )
 
-// maxProgs bounds the program cache exactly like maxPlans bounds the
+// maxKernels bounds the kernel cache exactly like maxPlans bounds the
 // plan cache: cleared wholesale on overflow rather than LRU-tracked,
 // since steady-state working sets are tiny and an overflow means an
 // unbounded-kernel-shape workload where any eviction policy thrashes.
-const maxProgs = 2048
+const maxKernels = 2048
 
 // CodegenStats is a snapshot of the backend's activity counters.
 type CodegenStats struct {
@@ -44,14 +42,14 @@ type CodegenStats struct {
 	// kernel did / did not have at least one codegen-lowered loop.
 	TasksCompiled    int64
 	TasksInterpreted int64
-	// CacheHits / CacheMisses count program-cache lookups by kernel
-	// fingerprint (misses include first-ever compilations).
+	// CacheHits / CacheMisses count kernel-cache lookups by CompileKey
+	// while codegen is on (a miss compiles and lowers the kernel).
 	CacheHits   int64
 	CacheMisses int64
 }
 
 // codegenCounters holds the live counters. Cache hits/misses are bumped
-// under rt.mu (the compile path), task counts under execMu (the three
+// under rt.mu (Runtime.Compiled), task counts under execMu (the three
 // executor paths); atomics keep the snapshot getter lock-free and the
 // two lock domains independent.
 type codegenCounters struct {
@@ -61,16 +59,20 @@ type codegenCounters struct {
 	cacheMisses      atomic.Int64
 }
 
-// SetCodegen selects the execution backend. Turning codegen off also
-// detaches any programs already installed on cached kernels, so a
-// runtime toggled mid-stream genuinely reverts to the interpreter.
+// SetCodegen selects the execution backend. The cached kernels follow
+// the switch: turning codegen off detaches their programs, so a runtime
+// toggled mid-stream genuinely reverts to the interpreter, and turning
+// it back on lowers them again.
 func (rt *Runtime) SetCodegen(m CodegenMode) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	rt.codegen = m
-	if m == CodegenOff {
-		for _, c := range rt.compiled {
+	for _, c := range rt.kernels {
+		switch {
+		case m == CodegenOff:
 			c.AttachProgram(nil)
+		case rt.mode == ModeReal && c.Program() == nil:
+			c.AttachProgram(kir.Codegen(c))
 		}
 	}
 }
@@ -92,32 +94,19 @@ func (rt *Runtime) CodegenStatsSnapshot() CodegenStats {
 	}
 }
 
-// ProgramsCached returns the number of distinct compiled programs
-// resident in the fingerprint-keyed program cache — the shared asset a
+// ProgramsCached returns the number of compiled kernels resident in the
+// kernel cache with a codegen program attached — the shared asset a
 // multi-tenant server amortizes across tenants.
 func (rt *Runtime) ProgramsCached() int {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	return len(rt.progs)
-}
-
-// attachProgramLocked installs the codegen program for a freshly
-// compiled kernel, minting one on first sight of the fingerprint.
-// Callers hold rt.mu.
-func (rt *Runtime) attachProgramLocked(c *kir.Compiled) {
-	fp := c.Kernel.Fingerprint()
-	if p, ok := rt.progs[fp]; ok {
-		rt.cgStats.cacheHits.Add(1)
-		c.AttachProgram(p)
-		return
+	n := 0
+	for _, c := range rt.kernels {
+		if c.Program() != nil {
+			n++
+		}
 	}
-	rt.cgStats.cacheMisses.Add(1)
-	if len(rt.progs) >= maxProgs {
-		clear(rt.progs)
-	}
-	p := kir.Codegen(c)
-	rt.progs[fp] = p
-	c.AttachProgram(p)
+	return n
 }
 
 // countBackend records which backend an index task's kernel executes on.

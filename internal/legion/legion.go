@@ -111,14 +111,15 @@ type Runtime struct {
 	writers map[ir.StoreID][]ir.Partition
 	pendRed map[ir.StoreID]ir.ReduceOp // stores with uncombined reductions
 
-	mu       sync.Mutex // guards regions, compiled, progs, and codegen
-	regions  map[ir.StoreID]*region
-	compiled map[*kir.Kernel]*kir.Compiled
+	mu      sync.Mutex // guards regions, kernels, and codegen
+	regions map[ir.StoreID]*region
 
-	// Codegen-backend state (see codegen.go): the active mode, the
-	// fingerprint-keyed program cache, and the activity counters.
+	// Kernel cache and codegen-backend state (see codegen.go): the
+	// active mode, the compiled kernels keyed by kir.Kernel.CompileKey
+	// (each with its codegen program attached), and the activity
+	// counters.
 	codegen CodegenMode
-	progs   map[string]*kir.CodegenProgram
+	kernels map[string]*kir.Compiled
 	cgStats codegenCounters
 
 	// Feedback-directed scheduling state (see feedback.go): the active
@@ -176,14 +177,13 @@ type Runtime struct {
 // only cfg.GPUs is consulted (as the default launch width).
 func New(mode Mode, cfg machine.Config) *Runtime {
 	rt := &Runtime{
-		mode:     mode,
-		sim:      machine.NewSim(cfg),
-		regions:  map[ir.StoreID]*region{},
-		writers:  map[ir.StoreID][]ir.Partition{},
-		pendRed:  map[ir.StoreID]ir.ReduceOp{},
-		compiled: map[*kir.Kernel]*kir.Compiled{},
-		progs:    map[string]*kir.CodegenProgram{},
-		workers:  runtime.GOMAXPROCS(0),
+		mode:    mode,
+		sim:     machine.NewSim(cfg),
+		regions: map[ir.StoreID]*region{},
+		writers: map[ir.StoreID][]ir.Partition{},
+		pendRed: map[ir.StoreID]ir.ReduceOp{},
+		kernels: map[string]*kir.Compiled{},
+		workers: runtime.GOMAXPROCS(0),
 	}
 	rt.scratch.New = func() any { return kir.NewScratch() }
 	if mode == ModeReal {
@@ -205,20 +205,31 @@ func (rt *Runtime) SimTime() float64 { return rt.sim.Time() }
 // Compiled returns (compiling and caching on first use) the executable
 // form of a kernel. The fusion layer optimizes fused kernels before they
 // arrive here; unfused kernels compile as-is, mirroring the precompiled
-// task variants of standard cuPyNumeric.
+// task variants of standard cuPyNumeric. The cache is keyed by
+// CompileKey, not by kernel object: unfused streams mint a fresh kernel
+// per task, and every one of them after the first compiles to a hit.
 func (rt *Runtime) Compiled(k *kir.Kernel) *kir.Compiled {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	if c, ok := rt.compiled[k]; ok {
+	key := k.CompileKey()
+	// Second compilation stage: in ModeReal with codegen on, every
+	// cached kernel carries its closure-backend program (codegen.go).
+	codegen := rt.mode == ModeReal && rt.codegen == CodegenOn
+	if c, ok := rt.kernels[key]; ok {
+		if codegen {
+			rt.cgStats.cacheHits.Add(1)
+		}
 		return c
 	}
 	c := kir.Compile(k)
-	// Second compilation stage: in ModeReal with codegen on, attach the
-	// closure-backend program (cached by kernel fingerprint; codegen.go).
-	if rt.mode == ModeReal && rt.codegen == CodegenOn {
-		rt.attachProgramLocked(c)
+	if codegen {
+		rt.cgStats.cacheMisses.Add(1)
+		c.AttachProgram(kir.Codegen(c))
 	}
-	rt.compiled[k] = c
+	if len(rt.kernels) >= maxKernels {
+		clear(rt.kernels)
+	}
+	rt.kernels[key] = c
 	return c
 }
 

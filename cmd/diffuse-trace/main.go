@@ -135,10 +135,10 @@ func printStats(w io.Writer, rt *core.Runtime, shards int) {
 		cs.TasksCompiled, cs.TasksInterpreted, cs.CacheHits, cs.CacheMisses)
 	ss := rt.Legion().ShardStatsSnapshot()
 	fmt.Fprintf(w, "\nsharded-drain stats (shards=%d):\n", shards)
-	fmt.Fprintf(w, "  groups=%d groupedTasks=%d stages=%d fallbacks=%d deferredFrees=%d\n",
-		ss.Groups, ss.GroupedTasks, ss.Stages, ss.Fallbacks, ss.DeferredFrees)
-	fmt.Fprintf(w, "  wavefrontGroups=%d wavefrontNodes=%d wavefrontEdges=%d barrierStages=%d\n",
-		ss.WavefrontGroups, ss.WavefrontNodes, ss.WavefrontEdges, ss.BarrierStages)
+	fmt.Fprintf(w, "  groups=%d groupedTasks=%d fallbacks=%d deferredFrees=%d\n",
+		ss.Groups, ss.GroupedTasks, ss.Fallbacks, ss.DeferredFrees)
+	fmt.Fprintf(w, "  wavefrontNodes=%d wavefrontEdges=%d foldNodes=%d\n",
+		ss.WavefrontNodes, ss.WavefrontEdges, ss.FoldNodes)
 	fmt.Fprintf(w, "  haloNodes=%d haloExchanges=%d haloElemsMoved=%d shardUnits=%d\n",
 		ss.HaloNodes, ss.HaloExchanges, ss.HaloElemsMoved, ss.ShardUnits)
 	printCalibration(w, rt)

@@ -68,8 +68,8 @@ func MatVec(A, x *Array) *Array {
 // dependence — both operands are read through block tilings, so a chain
 // of BlockMatVecs over shifted views of x (the block-banded operators of
 // internal/apps' stencil chain) carries only neighbor-block dependences:
-// exactly the halo structure the sharded runtime's wavefront scheduler
-// pipelines across stage boundaries.
+// exactly the halo structure the sharded runtime's group DAG pipelines
+// across.
 //
 // x may be any aliasing slice view; passing x shifted by whole blocks
 // (e.g. x[:m-T] against the sub-diagonal blocks) expresses the off-

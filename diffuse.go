@@ -63,13 +63,10 @@ type ExecPolicy = legion.ExecPolicy
 // chunks claimed, steals); read it via rt.Legion().ExecStats().
 type ExecStats = legion.ExecStats
 
-// ShardStats counts sharded-execution activity (groups drained, stages,
-// halo exchanges, deferred frees) when Config.Shards > 1; read it via
+// ShardStats counts sharded-execution activity (groups drained, DAG
+// nodes, halo exchanges, deferred frees) when Config.Shards > 1; read it via
 // rt.Legion().ShardStatsSnapshot().
 type ShardStats = legion.ShardStats
-
-// WavefrontMode selects the sharded drain scheduler (Config.Wavefront).
-type WavefrontMode = legion.WavefrontMode
 
 // CodegenMode selects the kernel execution backend (Config.Codegen).
 type CodegenMode = legion.CodegenMode
@@ -100,18 +97,6 @@ const (
 	// ExecPerPoint spawns one goroutine per point task (the v1 executor,
 	// kept as the chunked executor's bit-identity oracle).
 	ExecPerPoint = legion.ExecPerPoint
-)
-
-// Sharded drain schedulers (Config.Wavefront; only meaningful when
-// Config.Shards > 1).
-const (
-	// WavefrontOn (default) drains shard groups through the per-(shard,
-	// stage) dependence DAG: a shard's next stage waits only on its own
-	// previous stage plus the specific neighbor halo sends it consumes.
-	WavefrontOn = legion.WavefrontOn
-	// WavefrontOff drains with global stage barriers (the v1 scheduler,
-	// kept as the measured baseline of the wavefront benchmark rows).
-	WavefrontOff = legion.WavefrontOff
 )
 
 // Kernel execution backends (Config.Codegen; ModeReal only).

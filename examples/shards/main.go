@@ -44,8 +44,8 @@ func run(shards int) []float64 {
 		out[j] = xs[j].Get(n / 2)
 	}
 	st := rt.Legion().ShardStatsSnapshot()
-	fmt.Printf("shards=%d  groups=%-3d grouped-tasks=%-4d stages=%-3d halo-exchanges=%-3d deferred-frees=%d\n",
-		shards, st.Groups, st.GroupedTasks, st.Stages, st.HaloExchanges, st.DeferredFrees)
+	fmt.Printf("shards=%d  groups=%-3d grouped-tasks=%-4d halo-nodes=%-3d halo-exchanges=%-3d deferred-frees=%d\n",
+		shards, st.Groups, st.GroupedTasks, st.HaloNodes, st.HaloExchanges, st.DeferredFrees)
 	return out
 }
 

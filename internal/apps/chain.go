@@ -45,11 +45,10 @@ func (k ChainKind) String() string {
 // right neighbor). Each per-block term is a dense T×T GEMV
 // (cunum.BlockMatVec), so a sweep streams the stacked operator slabs D/L/U
 // — n×T elements each — through the evaluator's memory-bound GEMV fast
-// path, and consecutive sweeps re-read the same slabs. Under the
-// stage-barrier drain every sweep is a stage that streams the full
-// operator once per sweep; the wavefront scheduler instead runs one
-// shard's sweeps back to back, re-reading that shard's slab portion while
-// it is still in near memory. The off-diagonal terms read x through
+// path, and consecutive sweeps re-read the same slabs. The sharded
+// runtime's group DAG runs one shard's sweeps back to back, re-reading
+// that shard's slab portion while it is still in near memory, instead of
+// streaming the full operator once per sweep. The off-diagonal terms read x through
 // whole-block-shifted slice views, so the cross-sweep dependences are
 // exactly neighbor-block halos, never global.
 //

@@ -10,13 +10,12 @@ import (
 	"diffuse/internal/machine"
 )
 
-func chainCtx(shards int, fused bool, wf legion.WavefrontMode) *cunum.Context {
+func chainCtx(shards int, fused bool) *cunum.Context {
 	cfg := core.DefaultConfig(8)
 	cfg.Mode = legion.ModeReal
 	cfg.Machine = machine.DefaultA100(8)
 	cfg.Enabled = fused
 	cfg.Shards = shards
-	cfg.Wavefront = wf
 	return cunum.NewContext(core.New(cfg))
 }
 
@@ -25,7 +24,7 @@ func chainCtx(shards int, fused bool, wf legion.WavefrontMode) *cunum.Context {
 // deep chain.
 func TestStencilChainContracts(t *testing.T) {
 	for _, kind := range []ChainKind{ChainUpwind, ChainSymmetric} {
-		ctx := chainCtx(1, true, legion.WavefrontOn)
+		ctx := chainCtx(1, true)
 		sc := NewStencilChain(ctx, 256, 16, 8, kind, cunum.F64)
 		sc.Iterate(2)
 		sum := sc.Sum()
@@ -38,26 +37,23 @@ func TestStencilChainContracts(t *testing.T) {
 	}
 }
 
-// TestStencilChainShardBitIdentity: the chain produces bit-identical state
-// under every (shards, scheduler) combination — the wavefront DAG relaxes
-// only inter-stage ordering, never the point decomposition.
+// TestStencilChainShardBitIdentity: the chain produces the unsharded
+// state bit for bit at every shard count — the group DAG relaxes only
+// ordering between independent units, never the point decomposition.
 func TestStencilChainShardBitIdentity(t *testing.T) {
 	for _, kind := range []ChainKind{ChainUpwind, ChainSymmetric} {
-		run := func(shards int, wf legion.WavefrontMode) []float64 {
-			ctx := chainCtx(shards, false, wf)
+		run := func(shards int) []float64 {
+			ctx := chainCtx(shards, false)
 			sc := NewStencilChain(ctx, 128, 16, 6, kind, cunum.F64)
 			sc.Iterate(2)
 			return sc.Live()
 		}
-		ref := run(1, legion.WavefrontOff)
+		ref := run(1)
 		for _, shards := range []int{2, 4} {
-			for _, wf := range []legion.WavefrontMode{legion.WavefrontOff, legion.WavefrontOn} {
-				got := run(shards, wf)
-				for i := range ref {
-					if got[i] != ref[i] {
-						t.Fatalf("%v shards=%d wf=%v: x[%d] = %v, want bit-identical %v",
-							kind, shards, wf, i, got[i], ref[i])
-					}
+			got := run(shards)
+			for i := range ref {
+				if got[i] != ref[i] {
+					t.Fatalf("%v shards=%d: x[%d] = %v, want bit-identical %v", kind, shards, i, got[i], ref[i])
 				}
 			}
 		}
@@ -66,20 +62,18 @@ func TestStencilChainShardBitIdentity(t *testing.T) {
 
 // TestStencilChainGroupsDeep: the unfused upwind chain's sweeps stay in
 // one shard group (fresh kernels per task, no host access), giving the
-// wavefront DAG a deep multi-stage pipeline to schedule.
+// group DAG a deep pipeline to schedule: every sweep after the first
+// reads its predecessor through shifted blocks, so each adds halo nodes.
 func TestStencilChainGroupsDeep(t *testing.T) {
-	ctx := chainCtx(4, false, legion.WavefrontOn)
+	ctx := chainCtx(4, false)
 	sc := NewStencilChain(ctx, 128, 16, 6, ChainUpwind, cunum.F64)
 	sc.Iterate(1)
 	ctx.Runtime().Legion().DrainShardGroup()
 	st := ctx.Runtime().Legion().ShardStatsSnapshot()
-	if st.WavefrontGroups == 0 {
-		t.Fatalf("no wavefront groups drained: %+v", st)
+	if st.Groups == 0 {
+		t.Fatalf("no shard groups drained: %+v", st)
 	}
-	if st.Stages < int64(sc.depth) {
-		t.Fatalf("chain of depth %d produced only %d stages: %+v", sc.depth, st.Stages, st)
-	}
-	if st.HaloNodes == 0 {
-		t.Fatalf("shifted-block reads produced no halo nodes: %+v", st)
+	if st.HaloNodes < int64(sc.depth-1) {
+		t.Fatalf("chain of depth %d produced only %d halo nodes: %+v", sc.depth, st.HaloNodes, st)
 	}
 }

@@ -105,13 +105,15 @@ func TestCompareRealSuites(t *testing.T) {
 	}
 }
 
-// TestValidateRejectsUnshardedBarrierRow: the barrier variant only makes
-// sense on sharded rows.
+// TestValidateRejectsUnshardedBarrierRow: the stage-barrier drain is gone,
+// so a "barrier" row is rejected as an unknown variant, unsharded or not.
 func TestValidateRejectsUnshardedBarrierRow(t *testing.T) {
-	s := gateSuite()
-	s.Results[gatePlain].Variant = "barrier"
-	if err := ValidateRealSuite(suiteJSON(t, s)); err == nil {
-		t.Fatal("unsharded stage-barrier row should fail validation")
+	for _, row := range []int{gatePlain, gateSharded} {
+		s := gateSuite()
+		s.Results[row].Variant = "barrier"
+		if err := ValidateRealSuite(suiteJSON(t, s)); err == nil || !strings.Contains(err.Error(), "unknown variant") {
+			t.Fatalf("stage-barrier row %d: err = %v, want unknown variant", row, err)
+		}
 	}
 }
 

@@ -139,8 +139,6 @@ type RealSuite struct {
 // baseline prices the switch alone.
 var realVariants = map[string]func(*core.Config){
 	"default": func(*core.Config) {},
-	// The v1 stage-barrier drain instead of the wavefront DAG (shards > 1).
-	"barrier": func(c *core.Config) { c.Wavefront = legion.WavefrontOff },
 	// The register interpreter instead of the compiled-kernel tier.
 	"interp": func(c *core.Config) { c.Codegen = legion.CodegenOff },
 	// The static cost model instead of feedback-directed scheduling.
@@ -255,10 +253,9 @@ func mkJacobiMRHS(ctx *cunum.Context, n int, dt cunum.DType) realApp {
 }
 
 // Stencil-chain parameters: chainDepth dependent sweeps per iteration in
-// blocks of chainBlock unknowns. Depth is what the wavefront scheduler
-// pipelines across — the stage-barrier drain streams the full operator
-// pair once per sweep, the DAG drain walks each shard's slabs through all
-// chainDepth sweeps back to back.
+// blocks of chainBlock unknowns. Depth is what the group DAG pipelines
+// across: it walks each shard's slabs through all chainDepth sweeps back
+// to back instead of streaming the full operator pair once per sweep.
 const (
 	chainBlock     = 128
 	chainDepth     = 16
@@ -370,19 +367,14 @@ func fullCases() []realCase {
 		// Deep stencil chain: chainDepth dependent block-banded matvec
 		// sweeps per iteration (internal/apps.StencilChain, upwind).
 		// "large" streams a 128 MB operator pair per sweep — past this
-		// host's effective cache/TLB reach, so the stage-barrier drain
-		// re-streams it every sweep while the wavefront DAG keeps each
+		// host's effective cache/TLB reach, where the group DAG keeps each
 		// shard's slabs hot across consecutive sweeps; "medium" (64 MB)
-		// sits below the wall and bounds the effect from the other
-		// side. Each sharded size runs the barrier row first (measured
-		// against the unsharded row), then the wavefront row measured
-		// against it.
+		// sits below the wall and bounds the effect from the other side.
+		// Each sharded row is measured against the unsharded row.
 		{app: "Stencil-Chain", size: "medium", n: 32768, warmup: 1, iters: 4, reps: 2, make: mkStencilChain},
-		{app: "Stencil-Chain", size: "medium", n: 32768, shards: 4, variant: "barrier", baseline: "Stencil-Chain/medium", warmup: 1, iters: 4, reps: 2, make: mkStencilChain},
-		{app: "Stencil-Chain", size: "medium", n: 32768, shards: 4, baseline: "Stencil-Chain/medium/shards=4/barrier", warmup: 1, iters: 4, reps: 2, make: mkStencilChain},
+		{app: "Stencil-Chain", size: "medium", n: 32768, shards: 4, baseline: "Stencil-Chain/medium", warmup: 1, iters: 4, reps: 2, make: mkStencilChain},
 		{app: "Stencil-Chain", size: "large", n: 65536, warmup: 1, iters: 3, reps: 2, make: mkStencilChain},
-		{app: "Stencil-Chain", size: "large", n: 65536, shards: 4, variant: "barrier", baseline: "Stencil-Chain/large", warmup: 1, iters: 3, reps: 2, make: mkStencilChain},
-		{app: "Stencil-Chain", size: "large", n: 65536, shards: 4, baseline: "Stencil-Chain/large/shards=4/barrier", warmup: 1, iters: 3, reps: 2, make: mkStencilChain},
+		{app: "Stencil-Chain", size: "large", n: 65536, shards: 4, baseline: "Stencil-Chain/large", warmup: 1, iters: 3, reps: 2, make: mkStencilChain},
 		// Multi-process distributed rows: the same workloads as 2 rank
 		// subprocesses over the local transport (core.Config.Ranks),
 		// measured against the in-process unsharded row — the whole
@@ -434,8 +426,7 @@ func tinyCases() []realCase {
 		{app: "Jacobi-MRHS", size: "tiny", n: 256, warmup: 1, iters: 5, reps: tinyReps, make: mkJacobiMRHS},
 		{app: "Jacobi-MRHS", size: "tiny", n: 256, shards: 4, baseline: "Jacobi-MRHS/tiny", warmup: 1, iters: 5, reps: tinyReps, make: mkJacobiMRHS},
 		{app: "Stencil-Chain", size: "tiny", n: 2048, warmup: 1, iters: 16, reps: tinyReps, make: mkStencilChain},
-		{app: "Stencil-Chain", size: "tiny", n: 2048, shards: 4, variant: "barrier", baseline: "Stencil-Chain/tiny", warmup: 1, iters: 16, reps: tinyReps, make: mkStencilChain},
-		{app: "Stencil-Chain", size: "tiny", n: 2048, shards: 4, baseline: "Stencil-Chain/tiny/shards=4/barrier", warmup: 1, iters: 16, reps: tinyReps, make: mkStencilChain},
+		{app: "Stencil-Chain", size: "tiny", n: 2048, shards: 4, baseline: "Stencil-Chain/tiny", warmup: 1, iters: 16, reps: tinyReps, make: mkStencilChain},
 		// Distributed smoke rows: 2 rank subprocesses, so a collapse in the
 		// control or halo path (not just outright breakage) fails CI.
 		{app: "Jacobi-MRHS", size: "tiny", n: 256, ranks: 2, baseline: "Jacobi-MRHS/tiny", warmup: 1, iters: 5, reps: tinyReps, make: mkJacobiMRHS},
@@ -643,12 +634,8 @@ func ValidateRealSuite(data []byte) error {
 		if r.DType != "f64" && r.DType != "f32" {
 			return fmt.Errorf("bench: result %d has unknown dtype %q", i, r.DType)
 		}
-		if r.Ranks > 1 && (r.Shards != r.Ranks || r.Variant == "barrier") {
-			return fmt.Errorf("bench: result %d ran at ranks=%d but shards=%d variant=%s (distribution forces shards = ranks on the wavefront drain)",
-				i, r.Ranks, r.Shards, r.Variant)
-		}
-		if r.Variant == "barrier" && r.Shards <= 1 {
-			return fmt.Errorf("bench: result %d is a stage-barrier row without sharding (the scheduler only differs at shards > 1)", i)
+		if r.Ranks > 1 && r.Shards != r.Ranks {
+			return fmt.Errorf("bench: result %d ran at ranks=%d but shards=%d (distribution forces shards = ranks)", i, r.Ranks, r.Shards)
 		}
 		if r.Tenants > 0 {
 			if r.StreamsPerSec <= 0 {

@@ -66,16 +66,9 @@ type Config struct {
 	// Empty falls back to DIFFUSE_DIST_TRANSPORT, then "unix". Results
 	// are bit-identical across transports; only the byte path changes.
 	Transport string
-	// Wavefront selects the sharded drain scheduler: the per-(shard,
-	// stage) dependence DAG (legion.WavefrontOn, the zero value — one
-	// shard may run several stages ahead of another wherever no halo edge
-	// connects them) or the v1 global stage barriers (legion.WavefrontOff,
-	// the measured baseline of the wavefront benchmark rows). Results are
-	// bit-identical either way: only inter-stage ordering relaxes where no
-	// dependence edge exists, never the point decomposition or the
-	// point-order reduction folds. Drain semantics are unchanged — host
-	// reads, frees, incompatible tasks, and Reshard still wait for the
-	// whole buffered group, wavefront or not. Ignored unless Shards > 1.
+	// Wavefront is ignored: shard groups always drain through their
+	// dependence DAG. It exists only because the benchmark's tracer
+	// forwards it to legion.Runtime.SetWavefront.
 	Wavefront legion.WavefrontMode
 	// Codegen selects the kernel execution backend (ModeReal): the
 	// compiled-kernel closure tier (legion.CodegenOn, the zero value —
@@ -193,11 +186,9 @@ func New(cfg Config) *Runtime {
 		if cfg.Mode != legion.ModeReal {
 			panic("core: distributed execution (Ranks > 1) requires ModeReal")
 		}
-		// Rank r owns shard r, and the distributed drain is built on the
-		// wavefront DAG: both are forced so the parent stamps tasks
-		// exactly as the in-process Shards=Ranks oracle would.
+		// Rank r owns shard r: forced so the parent stamps tasks exactly
+		// as the in-process Shards=Ranks oracle would.
 		cfg.Shards = cfg.Ranks
-		cfg.Wavefront = legion.WavefrontOn
 	}
 	r := &Runtime{
 		cfg:         cfg,
@@ -209,7 +200,6 @@ func New(cfg Config) *Runtime {
 	}
 	r.leg.SetExecPolicy(cfg.Exec)
 	r.leg.SetShards(cfg.Shards)
-	r.leg.SetWavefront(cfg.Wavefront)
 	r.leg.SetCodegen(cfg.Codegen)
 	r.leg.SetFeedback(cfg.Feedback)
 	if cfg.Ranks > 1 {

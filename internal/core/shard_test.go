@@ -5,7 +5,6 @@ import (
 
 	"diffuse/internal/ir"
 	"diffuse/internal/kir"
-	"diffuse/internal/legion"
 )
 
 // windowPair builds a two-task window x -> y -> z of element-wise copies
@@ -68,21 +67,5 @@ func TestCanonicalFormSeesRepartition(t *testing.T) {
 	}
 	if key(w) != plain {
 		t.Fatal("uniform generation shift changed the canonical form (memo replays broken)")
-	}
-}
-
-// TestWavefrontConfigPlumbs: Config.Wavefront reaches the runtime — the
-// zero value selects the wavefront DAG drain, WavefrontOff the v1 stage
-// barriers.
-func TestWavefrontConfigPlumbs(t *testing.T) {
-	cfg := DefaultConfig(4)
-	cfg.Mode = legion.ModeReal
-	cfg.Shards = 4
-	if got := New(cfg).Legion().Wavefront(); got != legion.WavefrontOn {
-		t.Fatalf("default drain scheduler = %v, want WavefrontOn", got)
-	}
-	cfg.Wavefront = legion.WavefrontOff
-	if got := New(cfg).Legion().Wavefront(); got != legion.WavefrontOff {
-		t.Fatalf("drain scheduler = %v, want WavefrontOff", got)
 	}
 }

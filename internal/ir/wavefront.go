@@ -1,13 +1,14 @@
 package ir
 
 // Wavefront scheduling metadata. The sharded runtime (internal/legion)
-// relaxes its stage-barrier drain into a per-(shard, stage) dependence DAG:
-// a shard's stage k+1 waits only on its own stage k plus the specific
-// neighbor halo sends it consumes, so one shard can run several stages
-// ahead of another wherever no dependence edge connects them. The types
-// here are the runtime-independent half of that plan: the dependence
-// records a drained group carries per stage, and the flat-offset spans the
-// scheduler intersects to turn a record into concrete cross-shard edges.
+// drains a shard group as a per-(task, shard) dependence DAG: a shard's
+// next task waits only on its own previous one plus the specific neighbor
+// halo sends it consumes, so one shard can run several tasks ahead of
+// another wherever no dependence edge connects them. The types here are
+// the runtime-independent half of that plan: the dependence records a
+// drained group carries between its entries, and the flat-offset spans
+// the scheduler intersects to turn a record into concrete cross-shard
+// edges.
 //
 // Spans are deliberately conservative: a span is the tight [Lo, Hi) flat
 // interval bounding every element one shard of one task argument touches,

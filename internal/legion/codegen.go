@@ -17,7 +17,7 @@ import (
 
 // CodegenMode toggles the compiled-kernel backend. The zero value is on —
 // codegen is the default tier, the interpreter the reference oracle and
-// fallback — mirroring WavefrontMode.
+// fallback.
 type CodegenMode int
 
 // Codegen modes.

@@ -3,6 +3,7 @@ package legion
 import (
 	"bytes"
 	"os"
+	"strings"
 	"testing"
 
 	"diffuse/internal/ir"
@@ -97,4 +98,17 @@ func TestPatchBufSkipsCuts(t *testing.T) {
 	if err := patchBuf(dst, 0, make([]byte, 12), nil); err == nil {
 		t.Error("patchBuf accepted a payload that is not a multiple of 8 bytes")
 	}
+}
+
+// TestStoreBufPanicNamesStoreAndEntry: a rank missing a store's buffer
+// fails naming the store and the entry in that order.
+func TestStoreBufPanicNamesStoreAndEntry(t *testing.T) {
+	ds := &distGroupState{me: 1, g: &shardGroup{entries: []groupEntry{{plan: &taskPlan{}}}}}
+	defer func() {
+		msg, _ := recover().(string)
+		if want := "rank 1 has no buffer for store 7 at entry 0"; !strings.Contains(msg, want) {
+			t.Fatalf("panic %q, want it to contain %q", msg, want)
+		}
+	}()
+	ds.storeBuf(0, 7)
 }

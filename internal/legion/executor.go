@@ -19,6 +19,7 @@ package legion
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -216,8 +217,7 @@ func (ws *workerState) release() {
 
 // execBatch is one unit of work in flight on the pool: either one index
 // task whose chunks of contiguous point-task colors the participants
-// claim, or (shardRun set) one sharded stage whose claimable units are
-// whole shards.
+// claim, or (dag set) one DAG drain.
 type execBatch struct {
 	plan    *taskPlan
 	comp    *kir.Compiled
@@ -235,11 +235,6 @@ type execBatch struct {
 	// timed, when set, receives a timing observation per executed chunk
 	// (or per inline task): the feedback layer's sampled calibration.
 	timed *machine.Calibrated
-
-	// shardRun, when set, turns the batch into a sharded stage: claimed
-	// indices are shard numbers, and the claimant runs the whole shard
-	// (every stage task's points for that shard) in one call.
-	shardRun func(ws *workerState, shard int)
 
 	// dag, when set, turns the batch into a wavefront DAG drain: the
 	// participant joins dagState's readiness loop instead of claiming
@@ -577,19 +572,6 @@ func (e *executor) run(b *execBatch, wsIdx, rangeIdx int) {
 		b.dag.loop(ws)
 		return
 	}
-	if b.shardRun != nil {
-		for {
-			s, stolen, ok := e.claimChunk(rangeIdx, b.nparts)
-			if !ok {
-				return
-			}
-			e.chunks.Add(1)
-			if stolen {
-				e.steals.Add(1)
-			}
-			b.shardRun(ws, s)
-		}
-	}
 	ws.prepare(len(b.plan.args), b.payload)
 	defer ws.release()
 	n := len(b.colors)
@@ -735,11 +717,10 @@ func (rt *Runtime) feedbackRoute(plan *taskPlan, b *execBatch) float64 {
 	return est
 }
 
-// dispatch fans one batch of nunits claimable units (dispatch chunks, or
-// whole shards when b.shardRun is set) out across the pool: up to nw
-// woken workers plus the submitting goroutine (always the last claim
-// range), never waking more workers than there are units left after the
-// submitter's. Returns after every unit has run.
+// dispatch fans one batch of nunits claimable dispatch chunks out across
+// the pool: up to nw woken workers plus the submitting goroutine (always
+// the last claim range), never waking more workers than there are units
+// left after the submitter's. Returns after every unit has run.
 func (e *executor) dispatch(b *execBatch, nunits int) {
 	woken := e.nw
 	if nunits-1 < woken {
@@ -761,7 +742,7 @@ func (e *executor) dispatch(b *execBatch, nunits int) {
 // dagState is a wavefront DAG drain in flight on the pool: a LIFO
 // readiness stack of node ids plus the shared in-degree counters. The
 // stack is LIFO on purpose — popping the most recently enabled node walks
-// a shard depth-first through consecutive stages, the order that keeps its
+// a shard depth-first through consecutive tasks, the order that keeps its
 // block and operand slabs in near memory. In-degrees are decremented with
 // atomic CAS (Add); the stack and the termination count are under mu so
 // idle participants can sleep on cond instead of spinning.
@@ -786,6 +767,7 @@ type dagState struct {
 // the stack is only empty while some node is executing, and executing a
 // node always either pushes successors or decrements remaining to zero.
 func (d *dagState) loop(ws *workerState) {
+	var ready []int32
 	for {
 		d.mu.Lock()
 		for len(d.stack) == 0 && d.remaining > 0 {
@@ -811,14 +793,16 @@ func (d *dagState) loop(ws *workerState) {
 
 		d.run(ws, n)
 
-		var ready []int32
+		ready = ready[:0]
 		for _, sn := range d.succ[n] {
 			if d.indeg[sn].Add(-1) == 0 {
 				ready = append(ready, sn)
 			}
 		}
-		if d.prio != nil && len(ready) > 1 {
+		if d.prio != nil {
 			sortReady(ready, d.prio)
+		} else {
+			slices.Reverse(ready) // the first-listed successor pops first
 		}
 		d.mu.Lock()
 		d.stack = append(d.stack, ready...)
@@ -846,33 +830,34 @@ func sortReady(nodes []int32, prio []float64) {
 }
 
 // runDAG executes a dependence DAG of nnodes nodes to completion: roots
-// (in-degree zero) seed a readiness stack, and the submitting goroutine —
-// joined by up to nw-1 woken workers — drains it. With a single-worker
-// pool the whole DAG runs on the submitter in LIFO depth-first order with
-// no locking in the executor's way; results are independent of the
-// schedule (the DAG's edges are the only ordering the caller relies on).
+// (in-degree zero) seed a readiness stack, and the submitting goroutine
+// drains it — joined by up to nw woken workers when pool is set and the
+// pool has more than one worker, alone otherwise. Results are independent
+// of the schedule (the DAG's edges are the only ordering the caller relies
+// on).
 //
 // prio, when non-nil, biases the drain: among ready nodes the one with
 // the highest priority (the feedback layer passes measured critical-path
-// lengths) is dispatched first. With prio nil the order is exactly the
-// historical LIFO depth-first drain.
-func (e *executor) runDAG(nnodes int, indeg []atomic.Int32, succ [][]int32, prio []float64, run func(ws *workerState, node int32)) {
-	if e.nw <= 1 {
-		e.runDAGSerial(nnodes, indeg, succ, prio, run)
-		return
-	}
+// lengths) is dispatched first. With prio nil a node's ready successors
+// pop in the order they are listed, so a lone participant's order depends
+// only on the DAG — the distributed drain relies on that for one common
+// order on every rank.
+func (e *executor) runDAG(pool bool, nnodes int, indeg []atomic.Int32, succ [][]int32, prio []float64, run func(ws *workerState, node int32)) {
 	if nnodes == 0 {
 		return
 	}
-	e.pooled.Add(1)
-	d := &dagState{stack: dagRoots(nnodes, indeg, prio), remaining: nnodes, indeg: indeg, succ: succ, prio: prio, run: run}
-	d.cond = sync.NewCond(&d.mu)
-	b := &execBatch{dag: d}
-	woken := e.nw
-	if nnodes-1 < woken {
-		woken = nnodes - 1
+	woken := 0
+	if pool && e.nw > 1 {
+		e.pooled.Add(1)
+		woken = min(e.nw, nnodes-1)
 	}
-	d.nparts = woken + 1
+	d := &dagState{stack: dagRoots(nnodes, indeg, prio), remaining: nnodes, nparts: woken + 1, indeg: indeg, succ: succ, prio: prio, run: run}
+	d.cond = sync.NewCond(&d.mu)
+	if woken == 0 {
+		d.loop(&e.ws[e.nw])
+		return
+	}
+	b := &execBatch{dag: d}
 	e.startWorkers()
 	b.wg.Add(woken)
 	for w := 0; w < woken; w++ {
@@ -896,60 +881,6 @@ func dagRoots(nnodes int, indeg []atomic.Int32, prio []float64) []int32 {
 		sortReady(roots, prio)
 	}
 	return roots
-}
-
-// runDAGSerial is runDAG on the submitting goroutine alone: a plain LIFO
-// stack, depth-first. With prio nil the order depends only on the DAG,
-// which is what the distributed drain relies on — every rank builds the
-// same DAG, so every rank runs its nodes in the same order.
-func (e *executor) runDAGSerial(nnodes int, indeg []atomic.Int32, succ [][]int32, prio []float64, run func(ws *workerState, node int32)) {
-	sub := &e.ws[e.nw]
-	stack := dagRoots(nnodes, indeg, prio)
-	done := 0
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		run(sub, n)
-		done++
-		if prio == nil {
-			for i := len(succ[n]) - 1; i >= 0; i-- {
-				if sn := succ[n][i]; indeg[sn].Add(-1) == 0 {
-					stack = append(stack, sn)
-				}
-			}
-		} else {
-			mark := len(stack)
-			for _, sn := range succ[n] {
-				if indeg[sn].Add(-1) == 0 {
-					stack = append(stack, sn)
-				}
-			}
-			sortReady(stack[mark:], prio)
-		}
-	}
-	if done != nnodes {
-		panic(fmt.Sprintf("legion: wavefront DAG stalled at %d/%d nodes (cycle?)", done, nnodes))
-	}
-}
-
-// runShards dispatches one sharded stage onto the pool: shard indices
-// [0, nshards) are the claimable units, spread across the woken workers
-// and the submitting goroutine exactly like chunk ranges (idle
-// participants steal whole shards from the back of others' ranges). With
-// a single-worker pool the submitter runs every shard in ascending order —
-// strict shard-major, the cache-friendly order the scheduler wants on a
-// serial host.
-func (e *executor) runShards(nshards int, fn func(ws *workerState, shard int)) {
-	if e.nw <= 1 || nshards <= 1 {
-		sub := &e.ws[e.nw]
-		for s := 0; s < nshards; s++ {
-			fn(sub, s)
-		}
-		return
-	}
-	e.pooled.Add(1)
-	b := &execBatch{shardRun: fn}
-	e.dispatch(b, nshards)
 }
 
 // SetExecPolicy selects the real-mode executor implementation. It must be

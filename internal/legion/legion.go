@@ -27,9 +27,9 @@
 //
 // With SetShards > 1 (core.Config.Shards), real-mode execution is
 // additionally *sharded* (shard.go): tasks buffer into groups that run
-// shard-major over leading-axis blocks — one task plan per shard on the
-// work-stealing executor, halo-exchange stage boundaries between
-// dependent tasks whose partitions misalign, and shard-local region
+// shard-major over leading-axis blocks as one dependence DAG on the
+// work-stealing executor (wavefront.go), with halo-exchange nodes between
+// dependent tasks whose partitions misalign and shard-local region
 // instances bounding each shard's accesses. Results stay bit-identical
 // to unsharded execution at every shard count.
 package legion
@@ -143,12 +143,10 @@ type Runtime struct {
 	freeEpoch int64
 
 	// Sharded execution state (see shard.go): the configured shard count,
-	// the drain scheduler (wavefront.go), the buffered task group, frees
-	// deferred while the group references their stores, and the activity
-	// counters (guarded by execMu; ShardUnits is updated atomically by
+	// the buffered task group, frees deferred while the group references
+	// their stores, and the activity counters (guarded by execMu; ShardUnits is updated atomically by
 	// pool workers).
 	shards         int
-	wavefront      WavefrontMode
 	group          *shardGroup
 	deferredFrees  []ir.StoreID
 	deferredFreeIn map[ir.StoreID]bool

@@ -7,10 +7,10 @@ package legion
 // a store the group references, an incompatible task, or an explicit
 // DrainShardGroup. The group is scheduled *shard-major* ("owner computes"):
 // the launch domain of every task is decomposed into S contiguous
-// leading-axis blocks, and each shard runs the whole group's point tasks
-// for its block before the next shard starts — one task plan per shard,
-// dispatched onto the existing work-stealing executor (each shard is one
-// claimable unit; idle workers steal whole shards).
+// leading-axis blocks, and each (task, shard) pair is one unit of the
+// group's dependence DAG, drained on the existing work-stealing executor
+// so a shard walks consecutive tasks over its block while other shards
+// proceed independently.
 //
 // Why: consecutive tasks that sweep the same large operands (the multi-RHS
 // sweeps of internal/bench's Jacobi-MRHS workload) touch each block S
@@ -22,23 +22,25 @@ package legion
 //
 // Dependences and halo exchange: shard-major order runs a later task's
 // shard s before an earlier task's shard s+1, which is only legal when no
-// data flows between them. The group is therefore split into *stages*:
-// within a stage, every dependence is point-wise through structurally
-// equal partitions (so shard blocks never exchange data), and every
-// dependence whose partitions misalign — a stencil reading its producer
-// through shifted views, a replicated read of a distributed write, SpMV
-// neighborhoods — ends the stage with an explicit halo-exchange step. The
-// stage boundary completes all shards of the producer, reconciles the
-// shard-local instances (see below), and only then starts the consumer's
-// shards. Reductions complete (their per-point partials fold, in point
-// order) at the end of their stage, before any later-stage reader.
+// data flows between them. The group therefore drains as a dependence DAG
+// (wavefront.go) built from entry-ordered facts alone: every (task, shard)
+// unit waits on the same shard's previous unit; every dependence whose
+// partitions misalign — a stencil reading its producer through shifted
+// views, a replicated read of a distributed write, SpMV neighborhoods —
+// adds edges between exactly the producer and consumer shards whose spans
+// overlap, read-after-write ones through a halo-exchange node; and every
+// reducing task gets a fold node that completes its per-point partials
+// (in point order) after all of its shards and before any later access to
+// the store. Every edge runs from an earlier entry to a later one, or from
+// a unit to its own entry's fold node, so the DAG is acyclic by
+// construction.
 //
 // Shard-local region instances: each shard's point tasks access store data
 // through a bounds-enforcing sub-buffer of the store's region covering
-// exactly the shard's footprint (its block plus the halo margin admitted
-// by the current stage). On this single-address-space host the instances
+// exactly the shard's footprint (its block plus the halo margin its
+// accesses reach). On this single-address-space host the instances
 // alias the canonical region, so the halo-exchange step moves no bytes —
-// it is the scheduling barrier plus coherence bookkeeping, and the
+// it is a synchronization point plus coherence bookkeeping, and the
 // simulated runtime charges the byte movement for the same access pattern
 // through its coherence model (legion.coherence, machine.CollHalo). On a
 // distributed substrate the same step is where the boundary rows would
@@ -67,10 +69,9 @@ type ShardStats struct {
 	Groups int64
 	// GroupedTasks is the number of index tasks executed through groups.
 	GroupedTasks int64
-	// Stages is the number of stages executed across all groups.
-	Stages int64
-	// HaloExchanges is the number of explicit halo-exchange stage
-	// boundaries (dependent tasks whose partitions misalign).
+	// HaloExchanges is the number of misaligned read dependences: reads
+	// through a partition other than the one the store's latest in-group
+	// write used.
 	HaloExchanges int64
 	// HaloElemsMoved estimates the elements a distributed runtime would
 	// move at those boundaries (zero copies happen on this shared-memory
@@ -85,13 +86,10 @@ type ShardStats struct {
 	// group referencing them drained.
 	DeferredFrees int64
 
-	// Wavefront counters (see wavefront.go; all zero under WavefrontOff).
+	// Group DAG counters (see wavefront.go).
 
-	// WavefrontGroups is the number of groups drained through the
-	// wavefront DAG scheduler instead of the stage-barrier loop.
-	WavefrontGroups int64
 	// WavefrontNodes is the number of DAG nodes dispatched ((task, shard)
-	// units, halo-exchange nodes, and reduction barriers).
+	// units, halo-exchange nodes, and fold nodes).
 	WavefrontNodes int64
 	// WavefrontEdges is the number of dependence edges those nodes were
 	// connected by.
@@ -100,10 +98,9 @@ type ShardStats struct {
 	// per (misaligned dependence, consumer shard) with at least one
 	// cross-shard producer.
 	HaloNodes int64
-	// BarrierStages is the number of stages forced to a full barrier
-	// because a task in them carries a reduction (the fold must observe
-	// every shard's partials before any later reader runs).
-	BarrierStages int64
+	// FoldNodes is the number of reduction fold nodes: one per grouped
+	// task that reduces.
+	FoldNodes int64
 
 	// Distributed counters (see dist.go; all zero unless this runtime is
 	// a rank of a multi-process distributed runtime).
@@ -117,85 +114,60 @@ type ShardStats struct {
 
 // groupEntry is one index task buffered in the shard group.
 type groupEntry struct {
-	task  *ir.Task
-	stage int
-	plan  *taskPlan
-	comp  *kir.Compiled
+	task *ir.Task
+	plan *taskPlan
+	comp *kir.Compiled
 }
 
-// partStage is one (partition, latest stage, latest entry) record of a
-// store's in-group access history.
-type partStage struct {
+// partEntry records the latest entry that accessed a store through part.
+type partEntry struct {
 	part  ir.Partition
-	stage int
-	entry int // index into shardGroup.entries of the latest such access
+	entry int // index into shardGroup.entries
 }
 
-// storeAccess tracks the in-group access history of one store, for the
-// stage computation and the wavefront dependence records: the full
-// per-partition history on both sides. Two reads through different
-// partitions can legally share a stage and a later writer must be
-// ordered after *both*; a reader must be ordered after *every* earlier
-// writer whose footprint it can touch, not just the latest one (a
-// partial overwrite leaves older writers' data visible). The stage
-// computation needs only the latest write — a second write through a
-// different partition is always bumped past the first — which
-// latestWrite derives from the same history, so there is exactly one
-// record of each access.
+// storeAccess tracks the in-group access history of one store: the full
+// per-partition history on both sides, because a reader must be ordered
+// after *every* earlier writer whose footprint it can touch (a partial
+// overwrite leaves older writers' data visible), and a writer after every
+// earlier reader, not just the latest ones.
 type storeAccess struct {
-	writes   []partStage // distinct write partitions, latest stage/entry each
-	reads    []partStage // distinct read partitions, latest stage/entry each
-	redStage int         // latest stage reducing to the store, -1 if none
+	writes   []partEntry // distinct write partitions, latest entry each
+	reads    []partEntry // distinct read partitions, latest entry each
+	redEntry int         // latest entry reducing to the store, -1 if none
 	redOp    ir.ReduceOp
 }
 
-// latestWrite returns the most recent write record (highest stage, entry
-// order breaking ties); ok is false when the store was never written in
-// this group.
-func (acc *storeAccess) latestWrite() (partStage, bool) {
-	best, ok := partStage{stage: -1, entry: -1}, false
+// latestWrite returns the most recent write record; ok is false when the
+// store was never written in this group.
+func (acc *storeAccess) latestWrite() (partEntry, bool) {
+	best, ok := partEntry{entry: -1}, false
 	for _, w := range acc.writes {
-		if w.stage > best.stage || (w.stage == best.stage && w.entry > best.entry) {
+		if w.entry > best.entry {
 			best, ok = w, true
 		}
 	}
 	return best, ok
 }
 
-// readStageOf returns the latest stage the store was read at (-1 if
-// never) — reductions and conservative checks that need "any read".
-func (acc *storeAccess) readStageOf() int {
-	st := -1
-	for _, r := range acc.reads {
-		if r.stage > st {
-			st = r.stage
-		}
-	}
-	return st
-}
-
-// recordPS notes an access through part at the given stage by the given
-// entry in a per-partition history list, returning the updated list.
-func recordPS(list []partStage, part ir.Partition, stage, entry int) []partStage {
+// recordAccess notes an access through part by the given entry in a
+// per-partition history list, returning the updated list.
+func recordAccess(list []partEntry, part ir.Partition, entry int) []partEntry {
 	for i := range list {
 		if list[i].part.Equal(part) {
-			if stage > list[i].stage {
-				list[i].stage = stage
-			}
-			if entry > list[i].entry {
-				list[i].entry = entry
-			}
+			list[i].entry = entry
 			return list
 		}
 	}
-	return append(list, partStage{part: part, stage: stage, entry: entry})
+	return append(list, partEntry{part: part, entry: entry})
 }
 
-// barrierDep is one "waits on a reduction fold" record: every shard of
-// entry cons must run after the barrier node of the given stage.
-type barrierDep struct {
-	stage int
-	cons  int
+// foldDep is one "waits on a reduction fold" record: the fold node of
+// entry red must complete before every unit of entry cons starts, or —
+// with chain set, for a same-op reduction into the same store — before
+// the fold node of cons runs.
+type foldDep struct {
+	red, cons int
+	chain     bool
 }
 
 // shardGroup is the buffered task group of a sharded runtime.
@@ -205,15 +177,11 @@ type shardGroup struct {
 	access  map[ir.StoreID]*storeAccess
 	refs    map[ir.StoreID]int   // stores referenced by buffered tasks
 	gens    map[ir.StoreID]int64 // shard generation each store entered with
-	stages  int                  // 1 + max entry stage
 
-	// Wavefront plan metadata (consumed by wavefront.go): the misaligned
-	// dependence records between entries, the reduction-fold waits, and
-	// the entries reducing at each barrier stage (in entry order — the
-	// fold order both schedulers share).
-	deps     []ir.StageDep
-	bdeps    []barrierDep
-	barriers map[int][]int
+	// DAG metadata (consumed by wavefront.go): the misaligned dependence
+	// records between entries and the reduction-fold waits.
+	deps  []ir.StageDep
+	folds []foldDep
 }
 
 // maxGroupTasks caps the group; longer streams drain in slabs.
@@ -221,11 +189,10 @@ const maxGroupTasks = 4096
 
 func newShardGroup() *shardGroup {
 	return &shardGroup{
-		kernels:  map[*kir.Kernel]bool{},
-		access:   map[ir.StoreID]*storeAccess{},
-		refs:     map[ir.StoreID]int{},
-		gens:     map[ir.StoreID]int64{},
-		barriers: map[int][]int{},
+		kernels: map[*kir.Kernel]bool{},
+		access:  map[ir.StoreID]*storeAccess{},
+		refs:    map[ir.StoreID]int{},
+		gens:    map[ir.StoreID]int64{},
 	}
 }
 
@@ -248,7 +215,7 @@ func (g *shardGroup) genConflict(t *ir.Task) bool {
 func (g *shardGroup) acc(id ir.StoreID) *storeAccess {
 	a, ok := g.access[id]
 	if !ok {
-		a = &storeAccess{redStage: -1}
+		a = &storeAccess{redEntry: -1}
 		g.access[id] = a
 	}
 	return a
@@ -317,10 +284,10 @@ func (rt *Runtime) groupable(t *ir.Task) bool {
 	return true
 }
 
-// enqueueShard admits a task into the shard group, computing its stage
-// from the group's dependence state and recording the dependence metadata
-// the wavefront scheduler resolves into per-shard edges at drain time.
-// Callers hold execMu and have already checked groupable.
+// enqueueShard admits a task into the shard group, recording the
+// entry-indexed dependence facts the group DAG resolves into per-shard
+// edges at drain time. Callers hold execMu and have already checked
+// groupable.
 func (rt *Runtime) enqueueShard(t *ir.Task) {
 	g := rt.group
 	if g == nil {
@@ -329,30 +296,13 @@ func (rt *Runtime) enqueueShard(t *ir.Task) {
 	}
 	self := len(g.entries) // index this task will occupy
 
-	// Stage assignment: start at the earliest stage consistent with every
-	// in-group dependence, bumping past a stage boundary (and recording a
-	// halo exchange) whenever the dependence's partitions misalign.
-	// Misaligned dependences additionally append a StageDep record naming
-	// the producer entry: the wavefront DAG turns each record into edges
-	// between exactly the (producer shard, consumer shard) pairs whose
-	// flat spans overlap. Point-wise (equal-partition) dependences need no
-	// record — shard blocks of equal partitions touch disjoint data, and
-	// the consumer's own-shard chain already orders it after the producer.
-	stage := 0
-	bump := func(s int) {
-		if s+1 > stage {
-			stage = s + 1
-		}
-	}
-	join := func(s int) {
-		if s > stage {
-			stage = s
-		}
-	}
-	depStart := len(g.deps) // this task's records begin here (for dedup)
-	// Stages of same-op reductions this task joins; resolved after the
-	// final stage is known (a later argument may bump it higher).
-	var joinedReds []int
+	// Misaligned dependences append a StageDep record naming the producer
+	// entry: the DAG turns each record into edges between exactly the
+	// (producer shard, consumer shard) pairs whose flat spans overlap.
+	// Point-wise (equal-partition) dependences need no record — shard
+	// blocks of equal partitions touch disjoint data, and the consumer's
+	// own-shard chain already orders it after the producer.
+	depStart, foldStart := len(g.deps), len(g.folds)
 	dep := func(prod int, id ir.StoreID, kind ir.DepKind) {
 		// One record per (producer, store, kind) suffices: edge
 		// resolution intersects store-level union spans, so a second
@@ -365,43 +315,37 @@ func (rt *Runtime) enqueueShard(t *ir.Task) {
 		}
 		g.deps = append(g.deps, ir.StageDep{Prod: prod, Cons: self, Store: id, Kind: kind})
 	}
+	fold := func(fd foldDep) {
+		for _, f := range g.folds[foldStart:] {
+			if f == fd {
+				return
+			}
+		}
+		g.folds = append(g.folds, fd)
+	}
 	for _, a := range t.Args {
 		id := a.Store.ID()
 		acc, seen := g.access[id]
 		if !seen {
 			continue
 		}
-		lw, written := acc.latestWrite()
-		// Reductions pending on the store complete at the end of their
-		// stage; any later access waits for the fold (a barrier node in
-		// the wavefront DAG).
-		if acc.redStage >= 0 && !(a.Priv.Reduces() && acc.redOp == a.Red) {
-			bump(acc.redStage)
-			g.bdeps = append(g.bdeps, barrierDep{stage: acc.redStage, cons: self})
+		// A pending reduction's fold must complete before any later access
+		// to the store. A same-op reduction only adds partials, so just its
+		// fold chains behind the earlier one, keeping folds in entry order.
+		if acc.redEntry >= 0 {
+			chain := a.Priv.Reduces() && acc.redOp == a.Red
+			fold(foldDep{red: acc.redEntry, cons: self, chain: chain})
 		}
 		if a.Priv.Reduces() {
 			// The reduce's units only touch private partial cells; the
 			// conflict is between the *fold* and earlier accesses, and the
-			// fold's barrier node already waits on every shard of this
-			// entry — whose own-shard chains order it after every earlier
-			// entry on every shard. No span records needed.
-			if written {
-				bump(lw.stage)
-			}
-			if rs := acc.readStageOf(); rs >= 0 {
-				bump(rs)
-			}
-			if acc.redStage >= 0 && acc.redOp == a.Red {
-				join(acc.redStage)
-				joinedReds = append(joinedReds, acc.redStage)
-			}
+			// fold node waits on every shard of this entry — whose
+			// own-shard chains order it after every earlier entry on every
+			// shard. No span records needed.
 			continue
 		}
-		if a.Priv.Reads() && written {
-			if lw.part.Equal(a.Part) {
-				join(lw.stage)
-			} else {
-				bump(lw.stage)
+		if a.Priv.Reads() {
+			if lw, written := acc.latestWrite(); written && !lw.part.Equal(a.Part) {
 				rt.recordHalo(t, a, lw.part)
 			}
 			// Order after every earlier writer this read can observe, not
@@ -414,72 +358,20 @@ func (rt *Runtime) enqueueShard(t *ir.Task) {
 			}
 		}
 		if a.Priv.Writes() {
-			if written {
-				if lw.part.Equal(a.Part) {
-					join(lw.stage)
-				} else {
-					bump(lw.stage)
-				}
-			}
 			for _, w := range acc.writes {
 				if !w.part.Equal(a.Part) {
 					dep(w.entry, id, ir.DepAnti)
 				}
 			}
-			// Anti-dependences against *every* distinct read partition:
-			// the write shares a stage with point-wise (equal-partition)
-			// readers only, and lands strictly after every misaligned one.
 			for _, r := range acc.reads {
-				if r.part.Equal(a.Part) {
-					join(r.stage)
-				} else {
-					bump(r.stage)
+				if !r.part.Equal(a.Part) {
 					dep(r.entry, id, ir.DepAnti)
 				}
 			}
 		}
 	}
 
-	// A numeric stage is one barrier node in the wavefront DAG, so a
-	// reduction must not land on a stage an earlier entry already waits on
-	// (a bdep): the merged barrier would wait on this task's units, which
-	// chain after the waiting entry — a cycle. Push the reduction to the
-	// first stage with no recorded waiter. Running a fold later is always
-	// safe, and the joinedReds records below keep same-store folds
-	// explicitly ordered behind the earlier barrier.
-	reducesAny := false
-	for _, a := range t.Args {
-		if a.Priv.Reduces() {
-			reducesAny = true
-		}
-	}
-	if reducesAny {
-	relocate:
-		for {
-			for _, bd := range g.bdeps {
-				if bd.stage == stage {
-					stage++
-					continue relocate
-				}
-			}
-			break
-		}
-	}
-
-	// A same-op reduction normally joins the pending reduction's stage
-	// and shares its fold barrier. If another argument bumped this task
-	// to a *later* stage, the two folds get separate barrier nodes, and
-	// both read-modify-write the same destination cell — so the later
-	// task must wait on the earlier fold explicitly (its own units only
-	// chain after the earlier *units*, not the earlier barrier).
-	for _, rs := range joinedReds {
-		if stage > rs {
-			g.bdeps = append(g.bdeps, barrierDep{stage: rs, cons: self})
-		}
-	}
-
-	// Record the task's own effects at its stage.
-	reducedHere := false
+	// Record the task's own effects.
 	for _, a := range t.Args {
 		acc := g.acc(a.Store.ID())
 		g.refs[a.Store.ID()]++
@@ -488,35 +380,26 @@ func (rt *Runtime) enqueueShard(t *ir.Task) {
 		}
 		switch {
 		case a.Priv.Reduces():
-			acc.redStage = stage
+			acc.redEntry = self
 			acc.redOp = a.Red
-			if !reducedHere {
-				// The stage becomes a barrier: its reduction folds must
-				// complete before any later dependent entry starts.
-				g.barriers[stage] = append(g.barriers[stage], self)
-				reducedHere = true
-			}
 		default:
 			if a.Priv.Reads() {
-				acc.reads = recordPS(acc.reads, a.Part, stage, self)
+				acc.reads = recordAccess(acc.reads, a.Part, self)
 			}
 			if a.Priv.Writes() {
-				acc.writes = recordPS(acc.writes, a.Part, stage, self)
+				acc.writes = recordAccess(acc.writes, a.Part, self)
 			}
 		}
 	}
 	g.kernels[t.Kernel] = true
-	g.entries = append(g.entries, groupEntry{task: t, stage: stage})
-	if stage+1 > g.stages {
-		g.stages = stage + 1
-	}
+	g.entries = append(g.entries, groupEntry{task: t})
 	if len(g.entries) >= maxGroupTasks {
 		rt.drainShardGroupLocked()
 	}
 }
 
-// recordHalo accounts one misaligned read dependence: the halo-exchange
-// step its stage boundary implies, and an estimate of the rows a
+// recordHalo accounts one misaligned read dependence: the halo exchange
+// it implies, and an estimate of the rows a
 // distributed runtime would move there (reader footprint at an interior
 // shard boundary minus the latest writer's, per boundary).
 func (rt *Runtime) recordHalo(t *ir.Task, a ir.Arg, writePart ir.Partition) {
@@ -569,9 +452,8 @@ func shardColorRange(launch ir.Rect, ncolors, s, shards int) (lo, hi int) {
 	return blo * rowW, bhi * rowW
 }
 
-// drainShardGroupLocked executes the buffered group — through the
-// wavefront DAG by default, or stage by stage with global barriers under
-// WavefrontOff — then processes frees deferred while the group pinned
+// drainShardGroupLocked executes the buffered group through its
+// dependence DAG, then processes frees deferred while the group pinned
 // their stores. Callers hold execMu.
 func (rt *Runtime) drainShardGroupLocked() {
 	g := rt.group
@@ -584,8 +466,7 @@ func (rt *Runtime) drainShardGroupLocked() {
 		rt.shardStats.GroupedTasks += int64(len(g.entries))
 
 		// Resolve every task's plan and compiled kernel up front (regions
-		// may allocate; single-threaded here), then run the DAG or the
-		// stages.
+		// may allocate; single-threaded here), then run the DAG.
 		for i := range g.entries {
 			e := &g.entries[i]
 			e.comp = rt.Compiled(e.task.Kernel)
@@ -593,21 +474,7 @@ func (rt *Runtime) drainShardGroupLocked() {
 			e.plan = rt.planFor(e.task, e.comp)
 			e.plan.resetPartials(e.task, len(e.plan.colors))
 		}
-		if rt.distTx != nil {
-			rt.runWavefrontDist(g)
-		} else if rt.wavefront == WavefrontOn {
-			rt.runWavefront(g)
-		} else {
-			for stage := 0; stage < g.stages; stage++ {
-				var units []*groupEntry
-				for i := range g.entries {
-					if g.entries[i].stage == stage {
-						units = append(units, &g.entries[i])
-					}
-				}
-				rt.runShardStage(units)
-			}
-		}
+		rt.runWavefront(g)
 	}
 
 	// Frees deferred while the group referenced their stores.
@@ -616,30 +483,6 @@ func (rt *Runtime) drainShardGroupLocked() {
 			rt.freeStoreLocked(id)
 		}
 		rt.deferredFrees = rt.deferredFrees[:0]
-	}
-}
-
-// runShardStage executes one stage's tasks shard-major: shard indices are
-// the claimable units of the work-stealing executor, and whichever
-// participant claims shard s runs *all* of the stage's point tasks for
-// that shard, in task order, against the shard's region instances. After
-// the stage barrier, reduction partials fold in point order (task order
-// within the stage), exactly as the unsharded executor folds them.
-func (rt *Runtime) runShardStage(units []*groupEntry) {
-	if len(units) == 0 {
-		return
-	}
-	rt.shardStats.Stages++
-	shards := rt.Shards()
-	e := rt.exec
-	runner := func(ws *workerState, s int) {
-		for _, u := range units {
-			rt.runUnitShard(u, ws, s, shards)
-		}
-	}
-	e.runShards(shards, runner)
-	for _, u := range units {
-		u.plan.foldPartials(u.task)
 	}
 }
 
@@ -652,8 +495,8 @@ func (rt *Runtime) runUnitShard(u *groupEntry, ws *workerState, s, shards int) {
 	if lo >= hi {
 		return
 	}
-	// Units run on pool workers (both drain schedulers), so the counter
-	// must not race with other units or with snapshot readers.
+	// Units run on pool workers, so the counter must not race with other
+	// units or with snapshot readers.
 	atomic.AddInt64(&rt.shardStats.ShardUnits, 1)
 	payload, _ := u.task.Payload.(*Payload)
 	ws.prepare(len(plan.args), payload)
@@ -661,7 +504,7 @@ func (rt *Runtime) runUnitShard(u *groupEntry, ws *workerState, s, shards int) {
 
 	// Shard-local instances: one bounds-enforcing sub-buffer per tiled
 	// argument, covering exactly this shard's footprint (block plus the
-	// halo margin its stage admits). Replicated (None) arguments read the
+	// halo margin its accesses reach). Replicated (None) arguments read the
 	// canonical instance; reductions accumulate into per-point partials.
 	insts := shardInstances(plan, lo, hi)
 

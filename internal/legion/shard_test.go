@@ -1,6 +1,7 @@
 package legion
 
 import (
+	"slices"
 	"testing"
 
 	"diffuse/internal/ir"
@@ -204,53 +205,66 @@ func TestShardColorRange(t *testing.T) {
 }
 
 // TestShardWriterSeesAllReaders: regression for the masked-reader bug —
-// a store read in one stage through two different partitions (say a
-// replicated read and a tiled read) must force a later tiled writer past
-// the stage of BOTH readers, not just the most recently recorded one;
-// otherwise the writer's shard-0 points run before the replicated
-// reader's shard-1 points and corrupt their view.
+// a store read through two different partitions (a replicated read and a
+// tiled read) must order a later tiled writer after BOTH readers, not
+// just the most recently recorded one; otherwise the writer's shard-0
+// points run before the replicated reader's shard-1 points and corrupt
+// their view.
 func TestShardWriterSeesAllReaders(t *testing.T) {
 	const points, ext = 4, 8
 	n := points * ext
-	rt := New(ModeReal, machine.DefaultA100(points))
-	rt.SetShards(2)
-	var fact ir.Factory
-	launch := ir.MakeRect(ir.Point{0}, ir.Point{points})
-	tp := ir.NewTiling(launch, []int{n}, []int{ext}, []int{0}, nil, nil)
-	none := ir.ReplicateOver(launch)
-	x := fact.NewStore("x", []int{n})
-	y := fact.NewStore("y", []int{n})
-	z := fact.NewStore("z", []int{n})
-
-	// gemv-style kernel: reads param0 replicated, writes param1 tiled.
-	repK := func() *kir.Kernel {
-		k := kir.NewKernel("rep", 2)
-		k.AddLoop(&kir.Loop{Kind: kir.LoopElem, Dom: "v", Ext: []int{ext}, ExtRef: 1,
-			Stmts: []kir.Stmt{{Kind: kir.KStore, Param: 1, E: kir.Const(1)}}})
-		return k
+	run := func(shards, workers int) ([]float64, *shardGroup) {
+		rt := New(ModeReal, machine.DefaultA100(points))
+		rt.SetShards(shards)
+		rt.SetWorkerPool(workers)
+		var fact ir.Factory
+		launch := ir.MakeRect(ir.Point{0}, ir.Point{points})
+		tp := ir.NewTiling(launch, []int{n}, []int{ext}, []int{0}, nil, nil)
+		none := ir.ReplicateOver(launch)
+		x := fact.NewStore("x", []int{n})
+		y := fact.NewStore("y", []int{n})
+		z := fact.NewStore("z", []int{n})
+		// param1 = param0 + c, iterating over param1's tile: with param0
+		// replicated, every point reads x's first block, which shard 0
+		// owns.
+		addK := func(name string, c float64) *kir.Kernel {
+			k := kir.NewKernel(name, 2)
+			k.AddLoop(&kir.Loop{Kind: kir.LoopElem, Dom: "v", Ext: []int{ext}, ExtRef: 1,
+				Stmts: []kir.Stmt{{Kind: kir.KStore, Param: 1, E: kir.Binary(kir.OpAdd, kir.Load(0), kir.Const(c))}}})
+			return k
+		}
+		// rand(x); t1 reads x replicated; t2 reads x tiled; t3 writes x
+		// tiled — it must wait for t1's every shard.
+		rt.Execute(&ir.Task{Name: "rand", Launch: launch, Kernel: randomKernel(13, ext),
+			Args: []ir.Arg{{Store: x, Part: tp, Priv: ir.Write}}})
+		rt.Execute(&ir.Task{Name: "t1", Launch: launch, Kernel: addK("rep", 0), Args: []ir.Arg{
+			{Store: x, Part: none, Priv: ir.Read},
+			{Store: y, Part: tp, Priv: ir.Write}}})
+		rt.Execute(&ir.Task{Name: "t2", Launch: launch, Kernel: addK("copy", 0), Args: []ir.Arg{
+			{Store: x, Part: tp, Priv: ir.Read},
+			{Store: z, Part: tp, Priv: ir.Write}}})
+		rt.Execute(&ir.Task{Name: "t3", Launch: launch, Kernel: addK("bump", 1), Args: []ir.Arg{
+			{Store: z, Part: tp, Priv: ir.Read},
+			{Store: x, Part: tp, Priv: ir.Write}}})
+		g := rt.group
+		return append(rt.ReadAll(y), rt.ReadAll(x)...), g
 	}
-	copyK := func() *kir.Kernel {
-		k := kir.NewKernel("copy", 2)
-		k.AddLoop(&kir.Loop{Kind: kir.LoopElem, Dom: "v", Ext: []int{ext}, ExtRef: 0,
-			Stmts: []kir.Stmt{{Kind: kir.KStore, Param: 1, E: kir.Load(0)}}})
-		return k
+	ref, _ := run(1, 1)
+	for _, shards := range []int{2, 4} {
+		for _, workers := range []int{1, 4} {
+			got, g := run(shards, workers)
+			if g == nil || len(g.entries) != 4 {
+				t.Fatalf("shards=%d: expected 4 buffered tasks", shards)
+			}
+			x := g.entries[3].task.Args[1].Store.ID()
+			if !slices.Contains(g.deps, ir.StageDep{Prod: 1, Cons: 3, Store: x, Kind: ir.DepAnti}) {
+				t.Fatalf("shards=%d: writer carries no anti-dependence on the replicated reader: %+v", shards, g.deps)
+			}
+			for i := range ref {
+				if got[i] != ref[i] {
+					t.Fatalf("shards=%d workers=%d value %d = %v, want bit-identical %v", shards, workers, i, got[i], ref[i])
+				}
+			}
+		}
 	}
-	// T1: reads x replicated (stage 0). T2: reads x tiled (stage 0).
-	// T3: writes x tiled — must land at stage 1, not stage 0.
-	rt.Execute(&ir.Task{Name: "t1", Launch: launch, Kernel: repK(), Args: []ir.Arg{
-		{Store: x, Part: none, Priv: ir.Read},
-		{Store: y, Part: tp, Priv: ir.Write}}})
-	rt.Execute(&ir.Task{Name: "t2", Launch: launch, Kernel: copyK(), Args: []ir.Arg{
-		{Store: x, Part: tp, Priv: ir.Read},
-		{Store: z, Part: tp, Priv: ir.Write}}})
-	rt.Execute(&ir.Task{Name: "t3", Launch: launch, Kernel: copyK(), Args: []ir.Arg{
-		{Store: z, Part: tp, Priv: ir.Read},
-		{Store: x, Part: tp, Priv: ir.Write}}})
-	if rt.group == nil || len(rt.group.entries) != 3 {
-		t.Fatalf("expected 3 buffered tasks")
-	}
-	if got := rt.group.entries[2].stage; got != 1 {
-		t.Fatalf("writer stage = %d, want 1 (must not share the replicated reader's stage)", got)
-	}
-	rt.DrainShardGroup()
 }

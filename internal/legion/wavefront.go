@@ -1,12 +1,7 @@
 package legion
 
-// The wavefront shard-stage scheduler. The v1 sharded drain executed a
-// group's dependence stages as global barriers: every shard finished stage
-// k (and its halo exchange) before any shard started stage k+1, so a deep
-// stencil chain serialized exactly where a Legion-style runtime overlaps
-// it. This file replaces that loop with a per-(shard, stage) dependence
-// DAG, built inside each drained group from the StageDep records enqueue
-// collects:
+// The shard-group dependence DAG. A drained group runs as one DAG built
+// from the entry-indexed records enqueueShard collects:
 //
 //   - every (task, shard) pair is a unit node; a shard's units are chained
 //     in program order, so one shard's work is always issue-ordered and
@@ -18,69 +13,57 @@ package legion
 //   - read-after-write edges route through a first-class halo-exchange
 //     node (the point where a distributed runtime would move the boundary
 //     rows; here it is a synchronization point plus accounting);
-//   - a stage containing a reduction becomes a barrier node: the fold must
-//     observe every shard's partials, and every entry bumped past the
-//     reduction waits on the fold, not just on its producing units.
+//   - every reducing entry gets a fold node: it waits on every shard of
+//     its entry, and every later access to the store waits on it — except
+//     a same-op reduction, whose own fold node chains behind it instead.
 //
-// Ready nodes are dispatched onto the persistent work-stealing executor
-// with CAS-decremented in-degrees (executor.runDAG): shard 0 can be three
-// stages deep in a chain while shard 3 is still on stage 0. On a
-// single-worker executor the same DAG drains on the submitting goroutine
-// in LIFO (depth-first) order — the order that keeps a shard's block and
-// its operand slabs hot across consecutive stages, which is where the
-// wavefront wins wall-clock even without parallelism (see the
-// deep-stencil-chain rows of BENCH_real.json).
+// Every edge runs from an earlier entry's node to a later entry's node, or
+// from a unit to its own entry's fold node, so the DAG is acyclic by
+// construction. Ready nodes are dispatched onto the persistent
+// work-stealing executor with CAS-decremented in-degrees
+// (executor.runDAG): shard 0 can be three sweeps deep in a chain while
+// shard 3 is still on its first. On a single-worker executor the same DAG
+// drains on the submitting goroutine in LIFO (depth-first) order — the
+// order that keeps a shard's block and its operand slabs hot across
+// consecutive sweeps.
 //
-// Determinism: unit nodes run exactly the same point decomposition and
-// shard instances as the stage-barrier drain, reduction partials stay
-// per-point, and folds run inside barrier nodes in entry order — the same
-// fold sequence both schedulers share — so results are bit-identical to
-// the barrier scheduler (and to unsharded execution) under any schedule.
+// Determinism: unit nodes run the same point decomposition and shard
+// instances under every schedule, reduction partials stay per-point, and
+// folds of one store run in entry order, so results are bit-identical to
+// unsharded execution under any schedule.
 
 import (
-	"fmt"
-	"os"
-	"sort"
 	"sync/atomic"
 
 	"diffuse/internal/ir"
 )
 
-var wfDebug = os.Getenv("WF_DEBUG") != ""
-
-// WavefrontMode selects the sharded drain scheduler.
+// WavefrontMode is the type of core.Config.Wavefront. It exists only so
+// the benchmark's tracer can keep forwarding that field through
+// SetWavefront; shard groups always drain through their dependence DAG.
 type WavefrontMode int
 
-const (
-	// WavefrontOn (the default) drains shard groups through the
-	// per-(shard, stage) dependence DAG.
-	WavefrontOn WavefrontMode = iota
-	// WavefrontOff drains with the v1 global stage barriers; it exists as
-	// the measured baseline of the wavefront benchmark rows.
-	WavefrontOff
-)
+// WavefrontOn is the only WavefrontMode.
+const WavefrontOn WavefrontMode = 0
 
-// SetWavefront selects the sharded drain scheduler. Like SetShards it must
-// be called before any task executes.
-func (rt *Runtime) SetWavefront(m WavefrontMode) { rt.wavefront = m }
-
-// Wavefront returns the active drain scheduler mode.
-func (rt *Runtime) Wavefront() WavefrontMode { return rt.wavefront }
+// SetWavefront does nothing; it exists only for the benchmark tracer's
+// call (see WavefrontMode).
+func (rt *Runtime) SetWavefront(WavefrontMode) {}
 
 // wfKind is the node kind of a wavefront DAG node.
 type wfKind uint8
 
 const (
-	wfUnit    wfKind = iota // one (task, shard) execution unit
-	wfHalo                  // halo-exchange synchronization point
-	wfBarrier               // reduction-fold stage barrier
+	wfUnit wfKind = iota // one (task, shard) execution unit
+	wfHalo               // halo-exchange synchronization point
+	wfFold               // one reducing entry's partial fold
 )
 
 // wfNode is one node of the wavefront DAG. For units, entry/shard name the
-// (task, shard) pair; for barriers, entry holds the stage whose reduction
-// folds run; halo nodes carry the consumer (entry, shard) pair plus, in
-// aux, the index of the g.deps record they resolve — the distributed
-// drain needs it to compute the boundary span the node moves.
+// (task, shard) pair; for folds, entry is the reducing entry; halo nodes
+// carry the consumer (entry, shard) pair plus, in aux, the index of the
+// g.deps record they resolve — the distributed drain needs it to compute
+// the boundary span the node moves.
 type wfNode struct {
 	kind  wfKind
 	entry int32
@@ -98,6 +81,7 @@ type wfDAG struct {
 	succ  [][]int32
 	edges int64
 	halos int64
+	folds int64
 
 	spans []*entrySpans // lazily computed per-entry spans (may hold nils)
 
@@ -184,10 +168,8 @@ func (g *shardGroup) buildWavefrontDAG(shards int) *wfDAG {
 	}
 	unit := func(e, s int) int32 { return int32(e*shards + s) }
 
-	// Program-order chain per shard: a shard's stage k+1 always waits on
-	// its own stage k (and, more strongly, on every earlier entry at that
-	// shard — the issue order the barrier scheduler also preserves within
-	// a stage).
+	// Program-order chain per shard: a shard's unit of entry e+1 waits on
+	// its unit of entry e.
 	for s := 0; s < shards; s++ {
 		for e := 0; e+1 < nentries; e++ {
 			d.addEdge(unit(e, s), unit(e+1, s))
@@ -238,32 +220,28 @@ func (g *shardGroup) buildWavefrontDAG(shards int) *wfDAG {
 		}
 	}
 
-	// Barrier nodes: one per stage containing reductions. The barrier
-	// waits on every shard of the stage's reducing entries, runs their
-	// folds in entry order, and releases every entry recorded as bumped
-	// past the reduction.
-	barrierAt := map[int]int32{}
-	stages := make([]int, 0, len(g.barriers))
-	for st := range g.barriers {
-		stages = append(stages, st)
-	}
-	sort.Ints(stages)
-	for _, st := range stages {
-		bn := d.addNode(wfNode{kind: wfBarrier, entry: int32(st)})
-		barrierAt[st] = bn
-		for _, e := range g.barriers[st] {
-			for s := 0; s < shards; s++ {
-				d.addEdge(unit(e, s), bn)
-			}
+	// Fold nodes: one per reducing entry, after every shard of it. The
+	// records then order each fold before the later accesses to its store
+	// (their units) or, for a same-op reduction, before its fold.
+	fold := make([]int32, nentries)
+	for e := range g.entries {
+		fold[e] = -1
+		if len(g.entries[e].plan.redArgs) == 0 {
+			continue
+		}
+		fold[e] = d.addNode(wfNode{kind: wfFold, entry: int32(e)})
+		d.folds++
+		for s := 0; s < shards; s++ {
+			d.addEdge(unit(e, s), fold[e])
 		}
 	}
-	for _, bd := range g.bdeps {
-		bn, ok := barrierAt[bd.stage]
-		if !ok {
-			panic(fmt.Sprintf("legion: wavefront barrier dep names stage %d with no reduction", bd.stage))
+	for _, fd := range g.folds {
+		if fd.chain {
+			d.addEdge(fold[fd.red], fold[fd.cons])
+			continue
 		}
 		for s := 0; s < shards; s++ {
-			d.addEdge(bn, unit(bd.cons, s))
+			d.addEdge(fold[fd.red], unit(fd.cons, s))
 		}
 	}
 
@@ -277,47 +255,45 @@ func (g *shardGroup) buildWavefrontDAG(shards int) *wfDAG {
 	return d
 }
 
-// runWavefront drains the group through the wavefront DAG. Callers hold
+// runWavefront drains the group through its DAG — on this rank's share
+// of a distributed runtime, or on the pool in-process. Callers hold
 // execMu; entries' plans are already resolved and partials reset.
 func (rt *Runtime) runWavefront(g *shardGroup) {
 	shards := rt.Shards()
 	d := g.buildWavefrontDAG(shards)
-	run := func(ws *workerState, nid int32) {
-		n := &d.nodes[nid]
-		switch n.kind {
-		case wfUnit:
-			if wfDebug {
-				fmt.Printf("WF unit e=%d(%s) s=%d stage=%d\n", n.entry, g.entries[n.entry].task.Name, n.shard, g.entries[n.entry].stage)
-			}
-			rt.runUnitShard(&g.entries[n.entry], ws, int(n.shard), shards)
-		case wfHalo:
-			// Synchronization only on this shared-memory host: the halo
-			// bytes were accounted at enqueue (recordHalo), and the
-			// aliased shard instances make the exchanged rows visible
-			// without copies.
-		case wfBarrier:
-			for _, e := range g.barriers[int(n.entry)] {
-				u := &g.entries[e]
+	if rt.distTx != nil {
+		rt.runWavefrontDist(g, d)
+	} else {
+		run := func(ws *workerState, nid int32) {
+			n := &d.nodes[nid]
+			switch n.kind {
+			case wfUnit:
+				rt.runUnitShard(&g.entries[n.entry], ws, int(n.shard), shards)
+			case wfHalo:
+				// Synchronization only on this shared-memory host: the halo
+				// bytes were accounted at enqueue (recordHalo), and the
+				// aliased shard instances make the exchanged rows visible
+				// without copies.
+			case wfFold:
+				u := &g.entries[n.entry]
 				u.plan.foldPartials(u.task)
 			}
 		}
+		// Feedback-directed dispatch order: price every node from the
+		// calibrated cost model and prefer measured-critical paths.
+		// In-process only — the distributed drain must keep one common
+		// order across ranks, and ranks calibrate independently.
+		var prio []float64
+		if rt.feedbackOn() {
+			prio = rt.wavefrontPriorities(g, d, shards)
+		}
+		rt.exec.runDAG(true, len(d.nodes), d.indeg, d.succ, prio, run)
 	}
-	// Feedback-directed dispatch order: price every node from the
-	// calibrated cost model and prefer measured-critical paths. In-process
-	// only — the distributed drain (runWavefrontDist) must keep one common
-	// serial order across ranks, and ranks calibrate independently.
-	var prio []float64
-	if rt.feedbackOn() {
-		prio = rt.wavefrontPriorities(g, d, shards)
-	}
-	rt.exec.runDAG(len(d.nodes), d.indeg, d.succ, prio, run)
 
-	rt.shardStats.WavefrontGroups++
 	rt.shardStats.WavefrontNodes += int64(len(d.nodes))
 	rt.shardStats.WavefrontEdges += d.edges
 	rt.shardStats.HaloNodes += d.halos
-	rt.shardStats.BarrierStages += int64(len(g.barriers))
-	rt.shardStats.Stages += int64(g.stages)
+	rt.shardStats.FoldNodes += d.folds
 }
 
 // wavefrontPriorities prices every DAG node and returns its critical-path
@@ -327,7 +303,7 @@ func (rt *Runtime) runWavefront(g *shardGroup) {
 // back to the static prior until it warms up); halo nodes from the
 // boundary bytes a distributed substrate would move across the edge
 // (consumer-span bytes through the static bandwidth model — halo-edge
-// pricing); barrier folds are noise next to either and price as zero.
+// pricing); folds are noise next to either and price as zero.
 func (rt *Runtime) wavefrontPriorities(g *shardGroup, d *wfDAG, shards int) []float64 {
 	n := len(d.nodes)
 	prio := make([]float64, n)

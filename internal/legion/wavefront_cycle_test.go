@@ -1,11 +1,11 @@
 package legion_test
 
-// Regression test for a wavefront DAG cycle: two workloads sharing stores
-// in one context could place an unrelated reduction on a stage number an
-// earlier entry already waited on (a bdep), merging it into that stage's
-// barrier node — which then waited on units chained after the waiter, a
-// cycle that stalled the drain. The reduction now relocates to a stage
-// with no recorded waiter (see enqueueShard).
+// Regression test for a group DAG cycle: two workloads sharing stores in
+// one context once merged an unrelated reduction into the fold node of a
+// stage-numbered DAG that an earlier entry already waited on, so the fold
+// waited on units chained after the waiter — a cycle that stalled the
+// drain. Fold nodes are now per entry, and the result must match the
+// unsharded run bit for bit.
 
 import (
 	"math"

@@ -1,6 +1,7 @@
 package legion
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -35,7 +36,7 @@ func (h *dagHarness) run(t *testing.T, workers int) {
 	t.Helper()
 	e := newExecutor(workers, machine.HostExec(workers))
 	defer e.shutdown()
-	e.runDAG(h.n, h.indeg, h.succ, h.prio, func(_ *workerState, node int32) {
+	e.runDAG(true, h.n, h.indeg, h.succ, h.prio, func(_ *workerState, node int32) {
 		h.mu.Lock()
 		h.order = append(h.order, node)
 		h.mu.Unlock()
@@ -57,8 +58,8 @@ func (h *dagHarness) run(t *testing.T, workers int) {
 }
 
 // TestRunDAGRespectsEdges: every node runs exactly once and no edge is
-// violated, on the serial fast path, a single-worker pool, and a
-// multi-worker pool (run with -race).
+// violated, on a single-worker pool (the submitter drains alone) and on
+// multi-worker pools (run with -race).
 func TestRunDAGRespectsEdges(t *testing.T) {
 	edges := [][2]int32{
 		// Two chains with cross links and a join — the (shard, stage)
@@ -72,9 +73,9 @@ func TestRunDAGRespectsEdges(t *testing.T) {
 	}
 }
 
-// TestRunDAGDeepSerialIsLIFO: on the serial path a free-running chain is
-// drained depth-first — the order the wavefront scheduler relies on for
-// cross-stage operand reuse.
+// TestRunDAGDeepSerialIsLIFO: a lone participant drains a free-running
+// chain depth-first — the order the group DAG relies on for operand reuse
+// across consecutive sweeps.
 func TestRunDAGDeepSerialIsLIFO(t *testing.T) {
 	// Shards: chains 0->1->2 and 3->4->5, plus upwind edges 0->4, 1->5.
 	// Depth-first from the lowest root must finish chain one before
@@ -91,13 +92,12 @@ func TestRunDAGDeepSerialIsLIFO(t *testing.T) {
 }
 
 // wavefrontStream mirrors shard_test.go's stream (random -> math -> sum +
-// max reductions) under an explicit drain-scheduler mode and worker count.
-func wavefrontStream(t *testing.T, shards, workers int, wf WavefrontMode) ([]float64, float64, float64, ShardStats) {
+// max reductions) under an explicit worker count.
+func wavefrontStream(t *testing.T, shards, workers int) ([]float64, float64, float64, ShardStats) {
 	t.Helper()
 	const points, ext, iters = 8, 64, 3
 	rt := New(ModeReal, machine.DefaultA100(points))
 	rt.SetShards(shards)
-	rt.SetWavefront(wf)
 	if workers > 0 {
 		rt.SetWorkerPool(workers)
 	}
@@ -137,37 +137,32 @@ func wavefrontStream(t *testing.T, shards, workers int, wf WavefrontMode) ([]flo
 	return rt.ReadAll(y), sv, mv, rt.ShardStatsSnapshot()
 }
 
-// TestWavefrontMatchesBarrier: the DAG drain is bit-identical to the
-// stage-barrier drain — state and order-sensitive FP reductions — across
+// TestWavefrontMatchesUnsharded: the group DAG drain is bit-identical to
+// the unsharded runtime — state and order-sensitive FP reductions — across
 // shard counts and worker counts (including the single-worker pool the
 // GOMAXPROCS=1 CI leg exercises), and its stats show the DAG actually ran:
-// halo nodes for the shifted read, barrier stages for the reductions.
-func TestWavefrontMatchesBarrier(t *testing.T) {
-	refY, refSum, refMax, _ := wavefrontStream(t, 1, 0, WavefrontOff)
+// halo nodes for the shifted read, fold nodes for the reductions.
+func TestWavefrontMatchesUnsharded(t *testing.T) {
+	refY, refSum, refMax, _ := wavefrontStream(t, 1, 0)
 	for _, shards := range []int{2, 4} {
 		for _, workers := range []int{1, 4} {
-			bY, bSum, bMax, bSt := wavefrontStream(t, shards, workers, WavefrontOff)
-			wY, wSum, wMax, wSt := wavefrontStream(t, shards, workers, WavefrontOn)
-			if bSt.WavefrontGroups != 0 {
-				t.Fatalf("barrier mode drained wavefront groups: %+v", bSt)
+			y, sum, mx, st := wavefrontStream(t, shards, workers)
+			if st.Groups == 0 || st.WavefrontNodes == 0 || st.WavefrontEdges == 0 {
+				t.Fatalf("sharded run did not build DAGs: %+v", st)
 			}
-			if wSt.WavefrontGroups == 0 || wSt.WavefrontNodes == 0 || wSt.WavefrontEdges == 0 {
-				t.Fatalf("wavefront mode did not build DAGs: %+v", wSt)
+			if st.HaloNodes == 0 {
+				t.Fatalf("shifted-partition read produced no halo nodes: %+v", st)
 			}
-			if wSt.HaloNodes == 0 {
-				t.Fatalf("shifted-partition read produced no halo nodes: %+v", wSt)
+			if st.FoldNodes == 0 {
+				t.Fatalf("reductions produced no fold nodes: %+v", st)
 			}
-			if wSt.BarrierStages == 0 {
-				t.Fatalf("reductions produced no barrier stages: %+v", wSt)
-			}
-			if wSum != refSum || wMax != refMax || bSum != refSum || bMax != refMax {
-				t.Fatalf("shards=%d workers=%d reductions wf=%v/%v barrier=%v/%v, want %v/%v",
-					shards, workers, wSum, wMax, bSum, bMax, refSum, refMax)
+			if sum != refSum || mx != refMax {
+				t.Fatalf("shards=%d workers=%d reductions %v/%v, want %v/%v",
+					shards, workers, sum, mx, refSum, refMax)
 			}
 			for i := range refY {
-				if wY[i] != refY[i] || bY[i] != refY[i] {
-					t.Fatalf("shards=%d workers=%d y[%d]: wf=%v barrier=%v want %v",
-						shards, workers, i, wY[i], bY[i], refY[i])
+				if y[i] != refY[i] {
+					t.Fatalf("shards=%d workers=%d y[%d] = %v, want %v", shards, workers, i, y[i], refY[i])
 				}
 			}
 		}
@@ -178,25 +173,24 @@ func TestWavefrontMatchesBarrier(t *testing.T) {
 // machinery never engages, so the DAG path stays idle — the "no edges"
 // degenerate case.
 func TestWavefrontShardsOneBuildsNoDAG(t *testing.T) {
-	_, _, _, st := wavefrontStream(t, 1, 0, WavefrontOn)
-	if st.Groups != 0 || st.WavefrontGroups != 0 || st.WavefrontEdges != 0 {
+	_, _, _, st := wavefrontStream(t, 1, 0)
+	if st.Groups != 0 || st.WavefrontNodes != 0 || st.WavefrontEdges != 0 {
 		t.Fatalf("shards=1 built groups or DAG edges: %+v", st)
 	}
 }
 
 // TestWavefrontStaggeredSameOpReductions: two same-op reductions into one
-// store landing at *different* stages (the second bumped by an unrelated
-// dependence) must have their folds ordered — the later task waits on the
-// earlier fold's barrier node, not just on its units — and later readers
-// must observe both contributions. Regression test: without the explicit
-// barrier dependence the two fold nodes race on the destination cell.
+// store, with an unrelated halo dependence between them, must have their
+// folds ordered — the later fold node waits on the earlier one, since both
+// read-modify-write the same destination cell — and later readers must
+// observe both contributions. Regression test: the stage-numbered DAG this
+// one replaced once let the two folds race.
 func TestWavefrontStaggeredSameOpReductions(t *testing.T) {
 	const points, ext = 4, 32
 	n := points * ext
-	run := func(shards, workers int, wf WavefrontMode) (float64, *shardGroup) {
+	run := func(shards, workers int) (float64, *shardGroup) {
 		rt := New(ModeReal, machine.DefaultA100(points))
 		rt.SetShards(shards)
-		rt.SetWavefront(wf)
 		rt.SetWorkerPool(workers)
 		var fact ir.Factory
 		launch := ir.MakeRect(ir.Point{0}, ir.Point{points})
@@ -206,8 +200,8 @@ func TestWavefrontStaggeredSameOpReductions(t *testing.T) {
 		x := fact.NewStore("x", []int{n})
 		y := fact.NewStore("y", []int{n})
 		s := fact.NewStore("s", []int{1})
-		// rand(x) @0; sum(x)->s @1; math(x shifted)->y @1; sum(y)->s @2:
-		// the second sum joins the first's op but lands a stage later.
+		// rand(x); sum(x)->s; math(x shifted)->y; sum(y)->s: the second
+		// sum joins the first's op behind a halo dependence.
 		rt.Execute(&ir.Task{Name: "rand", Launch: launch, Kernel: randomKernel(41, ext),
 			Args: []ir.Arg{{Store: x, Part: tp, Priv: ir.Write}}})
 		rt.Execute(&ir.Task{Name: "sumx", Launch: launch, Kernel: reduceKernel(ext, kir.RedSum),
@@ -226,28 +220,30 @@ func TestWavefrontStaggeredSameOpReductions(t *testing.T) {
 		v, _ := rt.ReadScalar(s)
 		return v, g
 	}
-	ref, _ := run(1, 1, WavefrontOff)
+	ref, _ := run(1, 1)
 	for _, workers := range []int{1, 4} {
-		bv, _ := run(4, workers, WavefrontOff)
-		wv, g := run(4, workers, WavefrontOn)
+		v, g := run(4, workers)
 		if g == nil {
 			t.Fatal("tasks did not group")
 		}
-		if g.entries[1].stage >= g.entries[3].stage {
-			t.Fatalf("scenario did not stagger the reductions: stages %d vs %d",
-				g.entries[1].stage, g.entries[3].stage)
-		}
-		found := false
-		for _, bd := range g.bdeps {
-			if bd.cons == 3 && bd.stage == g.entries[1].stage {
-				found = true
+		// The drain resolved every entry's plan, so the DAG rebuilds as it ran.
+		d := g.buildWavefrontDAG(4)
+		fold := map[int32]int32{}
+		for id, nd := range d.nodes {
+			if nd.kind == wfFold {
+				fold[nd.entry] = int32(id)
 			}
 		}
-		if !found {
-			t.Fatalf("later same-op reduction carries no barrier dependence on the earlier fold: %+v", g.bdeps)
+		f1, ok1 := fold[1]
+		f3, ok3 := fold[3]
+		if !ok1 || !ok3 || len(fold) != 2 {
+			t.Fatalf("want fold nodes for entries 1 and 3 only, got %v", fold)
 		}
-		if bv != ref || wv != ref {
-			t.Fatalf("workers=%d staggered reductions: wf=%v barrier=%v, want bit-identical %v", workers, wv, bv, ref)
+		if !slices.Contains(d.succ[f1], f3) {
+			t.Fatalf("entry 3's fold node does not wait on entry 1's: succ(fold 1) = %v", d.succ[f1])
+		}
+		if v != ref {
+			t.Fatalf("workers=%d staggered reductions: %v, want bit-identical %v", workers, v, ref)
 		}
 	}
 }
